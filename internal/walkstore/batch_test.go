@@ -161,21 +161,21 @@ func TestReplaceTailBatchMatchesSequential(t *testing.T) {
 }
 
 // TestReplaceTailBatchHubBoundary pushes one (node, dir) pending bucket
-// across the hubThreshold map upgrade inside a single batch and checks the
-// result against the sequential path — the transient bucket lengths during
-// the grouped apply differ from the sequential ones, so the upgrade decision
-// is the one place the two code paths could diverge.
+// past runCap entries, into several runs, inside a single batch and checks
+// the result against the sequential path — the transient bucket lengths
+// during the grouped apply differ from the sequential ones, so the run
+// layout is the one place the two code paths could diverge.
 func TestReplaceTailBatchHubBoundary(t *testing.T) {
 	const hub = graph.NodeID(3)
 	seq, bat := New(), New()
 	var live []SegmentID
 	var muts []TailMutation
-	// Seed 2*hubThreshold forward-sided segments [x, i] that do not touch hub,
+	// Seed 2*runCap forward-sided segments [x, i] that do not touch hub,
 	// then batch-rewrite every tail to [hub] so each contributes one pending
 	// entry at hub (position 1 of a forward segment is backward-pending — the
-	// sides alternate): the bucket goes 0 -> 2*hubThreshold in one
-	// ReplaceTailBatch call, crossing the upgrade boundary mid-apply.
-	for i := 0; i < 2*hubThreshold; i++ {
+	// sides alternate): the bucket goes 0 -> 2*runCap in one
+	// ReplaceTailBatch call, filling its first run mid-apply.
+	for i := 0; i < 2*runCap; i++ {
 		p := []graph.NodeID{graph.NodeID(100 + i), graph.NodeID(5000 + i)}
 		id := seq.AddSided(slices.Clone(p), SideForward)
 		bat.AddSided(slices.Clone(p), SideForward)
@@ -186,17 +186,17 @@ func TestReplaceTailBatchHubBoundary(t *testing.T) {
 		seq.ReplaceTail(m.ID, m.Keep, m.NewTail)
 	}
 	bat.ReplaceTailBatch(muts)
-	if px := &bat.stripe(hub).node(hub).pending[int(SideBackward)]; px.m == nil {
-		t.Fatalf("batched bucket did not upgrade to map past %d entries", hubThreshold)
+	if px := &bat.stripe(hub).node(hub).pending[int(SideBackward)]; len(px.runs) < 2 {
+		t.Fatalf("batched bucket of %d entries spans %d runs, want >= 2", px.n, len(px.runs))
 	}
 	requireStoresEqual(t, seq, bat, live, 1)
 	hits := bat.PendingPositions(hub, SideBackward)
-	if len(hits) != 2*hubThreshold {
-		t.Fatalf("hub bucket has %d hits, want %d", len(hits), 2*hubThreshold)
+	if len(hits) != 2*runCap {
+		t.Fatalf("hub bucket has %d hits, want %d", len(hits), 2*runCap)
 	}
 	// And back down: batch-truncate all but one away, again in one call.
 	muts = muts[:0]
-	for _, id := range live[:2*hubThreshold-1] {
+	for _, id := range live[:2*runCap-1] {
 		muts = append(muts, TailMutation{ID: id, Keep: 1, NewTail: nil})
 	}
 	for _, m := range muts {
@@ -220,13 +220,13 @@ func TestReplaceTailBatchPanics(t *testing.T) {
 // through the batch API: randomized clumps of tail mutations are applied
 // sequentially to one store and as one batch to its twin, with every
 // pending-position bucket cross-checked against the full-path enumeration
-// and both stores validated as they drift through hub upgrades, removals,
+// and both stores validated as they drift through inserts, removals,
 // and periodic compactions.
 func TestFuzzBatchAgainstSequential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 0))
 	seq, bat := New(), New()
 	var live []SegmentID
-	const nodeSpace = 12 // tiny, so buckets cross hubThreshold
+	const nodeSpace = 12 // tiny, so buckets collect many entries
 	randPath := func() []graph.NodeID {
 		p := make([]graph.NodeID, 1+rng.IntN(6))
 		for i := range p {

@@ -30,9 +30,9 @@
 // candidate order the pre-index scans used (ascending segment, then
 // position — the order first-switch indices are drawn over). The buckets
 // hold one entry per visit and double as the inverted visitor index
-// (Visitors and W derive from them). Ordinary nodes keep a bucket as a
-// pointer-free sorted slice of packed seg<<32|pos words; past hubThreshold
-// entries it upgrades to a per-segment position map. See
+// (Visitors and W derive from them). Every bucket, hub or not, is a sorted
+// sequence of bounded runs of packed seg<<32|pos words: pointer-free, 8
+// bytes per entry, and no update moves more than one run's worth. See
 // docs/DESIGN.md#7-the-pending-position-index for the full argument.
 //
 // Sided segments. SALSA (Sections 2.3 and 5) stores alternating walks; a

@@ -56,11 +56,11 @@ func bucketOf(dir Side) int {
 }
 
 // packEntry encodes one index entry as seg<<32 | pos. Numeric order of the
-// packed word is exactly (seg, pos) lexicographic order, so the list
-// representation sorts, searches, and moves single machine words. Segment
-// IDs are dense from 0 and positions are bounded by path length, so both
-// comfortably fit 32 bits; the guard documents the limit rather than
-// silently corrupting past it.
+// packed word is exactly (seg, pos) lexicographic order, so the index sorts,
+// searches, and moves single machine words. Segment IDs are dense from 0
+// and positions are bounded by path length, so both comfortably fit 32
+// bits; the guard documents the limit rather than silently corrupting past
+// it.
 func packEntry(seg SegmentID, pos int32) uint64 {
 	if uint64(seg) >= 1<<32 {
 		panic(fmt.Sprintf("walkstore: segment %d overflows the packed position index", seg))
@@ -72,140 +72,118 @@ func unpackEntry(e uint64) PosHit {
 	return PosHit{Seg: SegmentID(e >> 32), Pos: int32(uint32(e))}
 }
 
+// runCap bounds the entries of one posIndex run. A mid-bucket insert or
+// remove moves at most runCap words, and a run of runCap words is a single
+// 4 KiB allocation.
+const runCap = 512
+
 // posIndex is the pending-position set of one (node, bucket): the exact
 // (segment, position) pairs where a stored visit to the node is pending a
-// step in the bucket's direction. Ordinary nodes keep a sorted slice of
-// packed seg<<32|pos words — pointer-free (the GC never scans it),
-// append-dominated (fresh segments carry the largest IDs), one short
-// memmove on a mid-list insert — and upgrade to a per-segment map once the
-// entry count crosses hubThreshold, where the memmove would be tens of
-// kilobytes per update. Exactly one representation is active at a time;
-// there is no downgrade. The zero value is an empty index.
+// step in the bucket's direction, as packed seg<<32|pos words. The words
+// sit in a sorted sequence of runs: each run is non-empty, holds at most
+// runCap entries, and every word of a run is smaller than every word of the
+// next, so concatenating the runs gives the sorted entry list. Runs are
+// pointer-free (the GC never scans their words), appends dominate (fresh
+// segments carry the largest IDs), and a mid insert or remove moves words
+// within one run only, so a hub bucket costs the same 8 bytes per entry as
+// a small one and no update moves more than runCap words. The zero value is
+// an empty index.
 type posIndex struct {
-	list []uint64              // packed entries, sorted; active while m == nil
-	m    map[SegmentID][]int32 // hub mode: per-segment sorted position lists
-	n    int                   // total entries across either representation
+	runs [][]uint64
+	n    int // total entries across runs
+}
+
+// find returns the index of the run that holds e if it is present: the last
+// run whose head is <= e, or run 0 when e sorts before every head. px must
+// hold at least one run.
+func (px *posIndex) find(e uint64) int {
+	lo, hi := 1, len(px.runs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if px.runs[m][0] <= e {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo - 1
 }
 
 func (px *posIndex) add(seg SegmentID, pos int32) {
+	e := packEntry(seg, pos)
 	px.n++
-	if px.m != nil {
-		ps := px.m[seg]
-		// Fast path: a fresh segment's visits arrive in ascending position
-		// order, so per-segment lists grow at the end.
-		if len(ps) == 0 || ps[len(ps)-1] < pos {
-			px.m[seg] = append(ps, pos)
-			return
+	// Fast path: fresh segments carry the largest ID yet, so bulk loads and
+	// reroute tails append at the end of the last run.
+	last := len(px.runs) - 1
+	if last < 0 || px.runs[last][len(px.runs[last])-1] < e {
+		if last < 0 || len(px.runs[last]) == runCap {
+			px.runs = append(px.runs, []uint64{e})
+		} else {
+			px.runs[last] = append(px.runs[last], e)
 		}
-		i, found := slices.BinarySearch(ps, pos)
-		if found {
-			panic(fmt.Sprintf("walkstore: duplicate pending position (%d,%d)", seg, pos))
-		}
-		px.m[seg] = slices.Insert(ps, i, pos)
 		return
 	}
-	e := packEntry(seg, pos)
-	// Fast path: fresh segments carry the largest ID yet, so bulk loads and
-	// reroute tails append at the end of the sorted list.
-	if n := len(px.list); n == 0 || px.list[n-1] < e {
-		px.list = append(px.list, e)
-	} else {
-		i, found := slices.BinarySearch(px.list, e)
-		if found {
-			panic(fmt.Sprintf("walkstore: duplicate pending position (%d,%d)", seg, pos))
-		}
-		px.list = slices.Insert(px.list, i, e)
+	ri := px.find(e)
+	r := px.runs[ri]
+	i, found := slices.BinarySearch(r, e)
+	if found {
+		panic(fmt.Sprintf("walkstore: duplicate pending position (%d,%d)", seg, pos))
 	}
-	if len(px.list) > hubThreshold {
-		px.m = make(map[SegmentID][]int32, 2*len(px.list))
-		for _, e := range px.list {
-			h := unpackEntry(e)
-			px.m[h.Seg] = append(px.m[h.Seg], h.Pos)
+	if len(r) == runCap {
+		// Split the full run in halves; the left half keeps the backing
+		// array, the right half moves to a fresh one.
+		h := runCap / 2
+		right := slices.Clone(r[h:])
+		r = r[:h]
+		px.runs[ri] = r
+		px.runs = slices.Insert(px.runs, ri+1, right)
+		if i > h {
+			ri, r, i = ri+1, right, i-h
 		}
-		px.list = nil
 	}
+	px.runs[ri] = slices.Insert(r, i, e)
 }
 
-// remove drops one entry.
+// remove drops one entry, and its run once the run is empty.
 func (px *posIndex) remove(seg SegmentID, pos int32) {
-	if px.m != nil {
-		ps := px.m[seg]
-		if len(ps) == 1 && ps[0] == pos {
-			delete(px.m, seg)
-			px.n--
-			return
-		}
-		// Fast path: ReplaceTail unwinds a tail from its end, so the removed
-		// position is usually the segment's largest.
-		if n := len(ps); n > 0 && ps[n-1] == pos {
-			px.m[seg] = ps[:n-1]
-			px.n--
-			return
-		}
-		i, found := slices.BinarySearch(ps, pos)
-		if !found {
-			panic(fmt.Sprintf("walkstore: removing absent pending position (%d,%d)", seg, pos))
-		}
-		// len(ps) >= 2 here: a single-entry list was fully handled above.
-		px.m[seg] = slices.Delete(ps, i, i+1)
-		px.n--
-		return
-	}
 	e := packEntry(seg, pos)
-	// Fast path: ReplaceTail unwinds a tail from its end, so the removed
-	// entry is often the list's last.
-	if n := len(px.list); n > 0 && px.list[n-1] == e {
-		px.list = px.list[:n-1]
-		px.n--
-		return
+	if len(px.runs) == 0 {
+		panic(fmt.Sprintf("walkstore: removing absent pending position (%d,%d)", seg, pos))
 	}
-	i, found := slices.BinarySearch(px.list, e)
+	ri := px.find(e)
+	r := px.runs[ri]
+	i, found := slices.BinarySearch(r, e)
 	if !found {
 		panic(fmt.Sprintf("walkstore: removing absent pending position (%d,%d)", seg, pos))
 	}
-	px.list = slices.Delete(px.list, i, i+1)
 	px.n--
+	if len(r) == 1 {
+		px.runs = slices.Delete(px.runs, ri, ri+1)
+		return
+	}
+	px.runs[ri] = slices.Delete(r, i, i+1)
 }
 
-// appendTo appends every entry to dst in (seg, pos) order. The slice
-// representation is already sorted; the map representation sorts its
-// segment keys (cheap integer sort over distinct segments) and emits each
-// segment's already-sorted position list.
+// appendTo appends every entry to dst in (seg, pos) order: the runs in
+// sequence.
 func (px *posIndex) appendTo(dst []PosHit) []PosHit {
-	if px.m == nil {
-		for _, e := range px.list {
+	dst = slices.Grow(dst, px.n)
+	for _, r := range px.runs {
+		for _, e := range r {
 			dst = append(dst, unpackEntry(e))
-		}
-		return dst
-	}
-	segs := make([]SegmentID, 0, len(px.m))
-	//lint:allow determinism key collection only; segs is sorted on the next line before any emission
-	for seg := range px.m {
-		segs = append(segs, seg)
-	}
-	slices.Sort(segs)
-	for _, seg := range segs {
-		for _, p := range px.m[seg] {
-			dst = append(dst, PosHit{Seg: seg, Pos: p})
 		}
 	}
 	return dst
 }
 
-// appendSegs appends the bucket's distinct segment IDs to dst, unordered
-// (ascending in slice mode, map order in hub mode). Callers sort and
-// deduplicate across buckets.
+// appendSegs appends the bucket's distinct segment IDs to dst, ascending.
+// Callers sort and deduplicate across buckets.
 func (px *posIndex) appendSegs(dst []SegmentID) []SegmentID {
-	if px.m != nil {
-		//lint:allow determinism unordered by contract; every caller sorts and dedups dst across buckets
-		for seg := range px.m {
-			dst = append(dst, seg)
-		}
-		return dst
-	}
-	for _, e := range px.list {
-		if seg := SegmentID(e >> 32); len(dst) == 0 || dst[len(dst)-1] != seg {
-			dst = append(dst, seg)
+	for _, r := range px.runs {
+		for _, e := range r {
+			if seg := SegmentID(e >> 32); len(dst) == 0 || dst[len(dst)-1] != seg {
+				dst = append(dst, seg)
+			}
 		}
 	}
 	return dst

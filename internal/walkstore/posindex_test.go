@@ -3,6 +3,7 @@ package walkstore
 import (
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,15 +31,15 @@ func brutePending(s *Store, live []SegmentID, v graph.NodeID, dir Side) []PosHit
 }
 
 // TestPendingPositionsBruteForce drives randomized Add/AddSided/AddBatch/
-// ReplaceTail/Remove churn over a small node space (so buckets cross the
-// hub-upgrade boundary at hubThreshold entries and shrink back) and
+// ReplaceTail/Remove churn over a small node space (so buckets grow to
+// dozens of entries and shrink back) and
 // cross-checks every bucket of every touched node against the full-path
 // enumeration after each mutation, with periodic full Validates.
 func TestPendingPositionsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 0))
 	s := New()
 	var live []SegmentID
-	const nodeSpace = 12 // tiny, so single nodes accumulate > hubThreshold entries
+	const nodeSpace = 12 // tiny, so single nodes accumulate many entries
 	randPath := func() []graph.NodeID {
 		p := make([]graph.NodeID, 1+rng.IntN(6))
 		for i := range p {
@@ -95,17 +96,17 @@ func TestPendingPositionsBruteForce(t *testing.T) {
 	}
 }
 
-// TestPosIndexHubBoundary pins the representation upgrade: pushing one
-// (node, dir) bucket past hubThreshold entries must flip it to the map
-// representation with identical contents, and removals below the boundary
-// must keep it exact (no downgrade, like the visitor index).
+// TestPosIndexHubBoundary pins the multi-run representation: pushing one
+// (node, dir) bucket past runCap entries must spread it over several runs
+// with identical contents, and removals back down to one entry must keep
+// it exact.
 func TestPosIndexHubBoundary(t *testing.T) {
 	s := New()
 	const hub = graph.NodeID(5)
 	var ids []SegmentID
 	// Each forward-sided path [hub, i] contributes one forward-pending entry
 	// (position 0) at hub.
-	for i := 0; i < 2*hubThreshold; i++ {
+	for i := 0; i < 2*runCap; i++ {
 		ids = append(ids, s.AddSided([]graph.NodeID{hub, graph.NodeID(100 + i)}, SideForward))
 		hits := s.PendingPositions(hub, SideForward)
 		if len(hits) != i+1 {
@@ -116,17 +117,17 @@ func TestPosIndexHubBoundary(t *testing.T) {
 		}
 	}
 	px := &s.stripe(hub).node(hub).pending[int(SideForward)]
-	if px.m == nil {
-		t.Fatalf("bucket did not upgrade to map past %d entries", hubThreshold)
+	if len(px.runs) < 2 {
+		t.Fatalf("bucket of %d entries spans %d runs, want >= 2", px.n, len(px.runs))
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids[:2*hubThreshold-1] {
+	for _, id := range ids[:2*runCap-1] {
 		s.Remove(id)
 	}
 	hits := s.PendingPositions(hub, SideForward)
-	if len(hits) != 1 || hits[0].Seg != ids[2*hubThreshold-1] {
+	if len(hits) != 1 || hits[0].Seg != ids[2*runCap-1] {
 		t.Fatalf("after removals: %v", hits)
 	}
 	if err := s.Validate(); err != nil {
@@ -253,5 +254,143 @@ func TestConcurrentIndexReadersAndMutators(t *testing.T) {
 	readerWG.Wait()
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPosIndexMatchesSortedReference drives one posIndex through random
+// grow and shrink phases against a plain sorted slice, checking the entries,
+// the segment list and the run invariants after every operation. It also
+// requires that the run edge cases actually happened: an insert before the
+// first run's head, a split of a full run, a removal that empties a middle
+// run, and removal down to an empty bucket.
+func TestPosIndexMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 0))
+	var px posIndex
+	var ref []uint64
+	var headInsert, split, midEmptied, emptied bool
+	check := func(op int) {
+		t.Helper()
+		if err := validatePosIndex(0, 0, &px, ref); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		hits := px.appendTo(nil)
+		if len(hits) != len(ref) {
+			t.Fatalf("op %d: appendTo gave %d hits, want %d", op, len(hits), len(ref))
+		}
+		var segs []SegmentID
+		for i, h := range hits {
+			if packEntry(h.Seg, h.Pos) != ref[i] {
+				t.Fatalf("op %d: hit %d is %v, want %v", op, i, h, unpackEntry(ref[i]))
+			}
+			if len(segs) == 0 || segs[len(segs)-1] != h.Seg {
+				segs = append(segs, h.Seg)
+			}
+		}
+		if got := px.appendSegs(nil); !slices.Equal(got, segs) {
+			t.Fatalf("op %d: appendSegs=%v want %v", op, got, segs)
+		}
+	}
+	op := 0
+	for phase := 0; phase < 6; phase++ {
+		target := 1 + rng.IntN(6*runCap)
+		if phase%2 == 1 {
+			target = 0
+		}
+		for len(ref) != target {
+			op++
+			if len(ref) < target {
+				seg, pos := SegmentID(rng.IntN(4*runCap)), int32(rng.IntN(8))
+				if rng.IntN(4) == 0 && len(ref) > 0 {
+					// A fresh segment: the append fast path.
+					seg = unpackEntry(ref[len(ref)-1]).Seg + 1
+				}
+				e := packEntry(seg, pos)
+				i, found := slices.BinarySearch(ref, e)
+				if found {
+					continue
+				}
+				if len(px.runs) > 0 && e < px.runs[0][0] {
+					headInsert = true
+				}
+				runs := len(px.runs)
+				px.add(seg, pos)
+				ref = slices.Insert(ref, i, e)
+				if i < len(ref)-1 && len(px.runs) > runs {
+					split = true
+				}
+			} else {
+				i := rng.IntN(len(ref))
+				h := unpackEntry(ref[i])
+				ri := px.find(ref[i])
+				if ri > 0 && ri < len(px.runs)-1 && len(px.runs[ri]) == 1 {
+					midEmptied = true
+				}
+				px.remove(h.Seg, h.Pos)
+				ref = slices.Delete(ref, i, i+1)
+				if len(ref) == 0 {
+					emptied = true
+				}
+			}
+			check(op)
+		}
+	}
+	if !headInsert || !split || !midEmptied || !emptied {
+		t.Fatalf("edge cases not reached: head insert %v, split %v, middle run emptied %v, emptied %v",
+			headInsert, split, midEmptied, emptied)
+	}
+}
+
+// TestValidateCatchesIndexCorruption corrupts a three-run hub bucket in
+// each way the index check must notice and requires Validate to report it.
+// The corruptions that change the bucket's count move an entry or a count
+// to the node's other sided bucket, so the node's visit total still agrees
+// and the bucket check is the one that fires.
+func TestValidateCatchesIndexCorruption(t *testing.T) {
+	const hub = graph.NodeID(5)
+	cases := []struct {
+		name    string
+		corrupt func(px, other *posIndex)
+		want    string
+	}{
+		{"stale entry", func(px, _ *posIndex) { px.runs[1][3]-- }, "stale entry"},
+		{"missing entry", func(px, _ *posIndex) { px.runs[1][3]++ }, "misses entry"},
+		{"unsorted within run", func(px, _ *posIndex) {
+			px.runs[1][3], px.runs[1][4] = px.runs[1][4], px.runs[1][3]
+		}, "not strictly sorted"},
+		{"unsorted across runs", func(px, _ *posIndex) {
+			px.runs[0], px.runs[1] = px.runs[1], px.runs[0]
+		}, "not strictly sorted"},
+		{"count mismatch", func(px, other *posIndex) {
+			h := unpackEntry(px.runs[2][len(px.runs[2])-1])
+			px.remove(h.Seg, h.Pos)
+			other.add(h.Seg, h.Pos)
+		}, "has 1033 entries, want 1034"},
+		{"n off", func(px, other *posIndex) { px.n++; other.n-- }, "runs hold"},
+		{"empty run", func(px, _ *posIndex) { px.runs = append(px.runs, nil) }, "run 3 has 0 entries"},
+		{"overlong run", func(px, _ *posIndex) {
+			px.runs[0] = append(px.runs[0], px.runs[1][0])
+			px.runs[1] = px.runs[1][1:]
+		}, "run 0 has 513 entries"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := New()
+			for i := 0; i < 2*runCap+10; i++ {
+				s.AddSided([]graph.NodeID{hub, graph.NodeID(100 + i)}, SideForward)
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			ns := s.stripe(hub).node(hub)
+			px := &ns.pending[int(SideForward)]
+			if len(px.runs) != 3 {
+				t.Fatalf("bucket spans %d runs, want 3", len(px.runs))
+			}
+			c.corrupt(px, &ns.pending[int(SideBackward)])
+			err := s.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, c.want)
+			}
+		})
 	}
 }

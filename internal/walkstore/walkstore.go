@@ -86,16 +86,6 @@ type segRef struct {
 	live bool
 }
 
-// hubThreshold is the entry count at which a pending-position bucket's
-// sorted slice upgrades to a map. The slice is a pointer-free value array —
-// the GC never scans it, appends dominate (fresh segments carry the largest
-// IDs), and a mid-list insert is one short memmove — so it stays ahead of a
-// map well past the typical node's ~2·R·L/2 entries; only genuine hubs with
-// thousands of pending visits need the map's O(1) updates, paying its
-// pointer-ful buckets and write barriers where the memmove would be tens of
-// kilobytes.
-const hubThreshold = 1024
-
 const (
 	// stripeBits selects the counter stripe from a node ID's low bits;
 	// numStripes is the stripe count. Low-bit striping (rather than a hash)
@@ -1325,18 +1315,20 @@ func (s *Store) Validate() error {
 		return fmt.Errorf("%w: %d segment mutations in flight", ErrConcurrentMutation, n)
 	}
 
-	wantVisits := make(map[graph.NodeID]int64)
-	wantTerminals := make(map[graph.NodeID]int64)
-	var wantSidedVisits, wantSidedTerminals [2]map[graph.NodeID]int64
+	// The recount keeps one record per node. Segments are walked in ID
+	// order and each path front to back, so every recounted pending slice
+	// comes out sorted by (seg, pos), ready for a linear comparison with
+	// its bucket's runs.
+	recount := make(map[graph.NodeID]*nodeRecount)
+	at := func(v graph.NodeID) *nodeRecount {
+		w := recount[v]
+		if w == nil {
+			w = new(nodeRecount)
+			recount[v] = w
+		}
+		return w
+	}
 	var wantSidedTotals [2]int64
-	for d := 0; d < 2; d++ {
-		wantSidedVisits[d] = make(map[graph.NodeID]int64)
-		wantSidedTerminals[d] = make(map[graph.NodeID]int64)
-	}
-	var wantPending [pendingBuckets]map[graph.NodeID]map[PosHit]bool
-	for b := range wantPending {
-		wantPending[b] = make(map[graph.NodeID]map[PosHit]bool)
-	}
 	var total, live int64
 	numLive := 0
 	for i := range s.segs {
@@ -1354,23 +1346,22 @@ func (s *Store) Validate() error {
 		}
 		p := s.pathLocked(r)
 		live += int64(len(p))
-		wantTerminals[p[len(p)-1]]++
+		end := at(p[len(p)-1])
+		end.terminals++
 		for pos, v := range p {
-			wantVisits[v]++
+			w := at(v)
+			w.visits++
 			total++
 			if r.side >= 0 {
 				d := r.side.PendingAt(pos)
-				wantSidedVisits[d][v]++
+				w.sidedVisits[d]++
 				wantSidedTotals[d]++
 			}
 			b := pendingBucket(r.side, pos)
-			if wantPending[b][v] == nil {
-				wantPending[b][v] = make(map[PosHit]bool)
-			}
-			wantPending[b][v][PosHit{Seg: id, Pos: int32(pos)}] = true
+			w.pending[b] = append(w.pending[b], packEntry(id, int32(pos)))
 		}
 		if r.side >= 0 {
-			wantSidedTerminals[r.side.PendingAt(len(p)-1)][p[len(p)-1]]++
+			end.sidedTerminals[r.side.PendingAt(len(p)-1)]++
 			ns := s.stripe(p[0]).node(p[0])
 			if ns == nil || !slices.Contains(ns.ownedSided[r.side], id) {
 				return fmt.Errorf("walkstore: segment %d missing from sided owner index of node %d", id, p[0])
@@ -1396,9 +1387,6 @@ func (s *Store) Validate() error {
 	// summing to the atomic globals.
 	var stripeTotal, stripeEpochSum int64
 	var stripeSided [2]int64
-	nVisits, nTerminals := 0, 0
-	var nSidedVisits, nSidedTerminals [2]int
-	var nPending [pendingBuckets]int
 	var nodeErr error
 	for i := range s.stripes {
 		st := &s.stripes[i]
@@ -1425,11 +1413,12 @@ func (s *Store) Validate() error {
 				if ns.empty() {
 					return fmt.Errorf("walkstore: drained node state retained for node %d", v)
 				}
-				if ns.visits != wantVisits[v] {
-					return fmt.Errorf("walkstore: visits[%d]=%d want %d", v, ns.visits, wantVisits[v])
+				want := recount[v]
+				if want == nil {
+					want = new(nodeRecount)
 				}
-				if ns.visits != 0 {
-					nVisits++
+				if ns.visits != want.visits {
+					return fmt.Errorf("walkstore: visits[%d]=%d want %d", v, ns.visits, want.visits)
 				}
 				// The pending buckets double as the inverted visitor index
 				// (one entry per visit); their exact-set check below subsumes
@@ -1441,35 +1430,20 @@ func (s *Store) Validate() error {
 				if int64(pendingN) != ns.visits {
 					return fmt.Errorf("walkstore: node %d has %d pending entries for %d visits", v, pendingN, ns.visits)
 				}
-				if ns.terminals != wantTerminals[v] {
-					return fmt.Errorf("walkstore: terminals[%d]=%d want %d", v, ns.terminals, wantTerminals[v])
-				}
-				if ns.terminals != 0 {
-					nTerminals++
+				if ns.terminals != want.terminals {
+					return fmt.Errorf("walkstore: terminals[%d]=%d want %d", v, ns.terminals, want.terminals)
 				}
 				for d := 0; d < 2; d++ {
-					if ns.sidedVisits[d] != wantSidedVisits[d][v] {
-						return fmt.Errorf("walkstore: sidedVisits[%d][%d]=%d want %d", d, v, ns.sidedVisits[d], wantSidedVisits[d][v])
+					if ns.sidedVisits[d] != want.sidedVisits[d] {
+						return fmt.Errorf("walkstore: sidedVisits[%d][%d]=%d want %d", d, v, ns.sidedVisits[d], want.sidedVisits[d])
 					}
-					if ns.sidedVisits[d] != 0 {
-						nSidedVisits[d]++
-					}
-					if ns.sidedTerminals[d] != wantSidedTerminals[d][v] {
-						return fmt.Errorf("walkstore: sidedTerminals[%d][%d]=%d want %d", d, v, ns.sidedTerminals[d], wantSidedTerminals[d][v])
-					}
-					if ns.sidedTerminals[d] != 0 {
-						nSidedTerminals[d]++
+					if ns.sidedTerminals[d] != want.sidedTerminals[d] {
+						return fmt.Errorf("walkstore: sidedTerminals[%d][%d]=%d want %d", d, v, ns.sidedTerminals[d], want.sidedTerminals[d])
 					}
 				}
 				for b := 0; b < pendingBuckets; b++ {
-					px := &ns.pending[b]
-					if px.n != 0 {
-						nPending[b]++
-						if err := validatePosIndex(b, v, px, wantPending[b][v]); err != nil {
-							return err
-						}
-					} else if len(wantPending[b][v]) != 0 {
-						return fmt.Errorf("walkstore: pending[%d][%d] empty, want %d entries", b, v, len(wantPending[b][v]))
+					if err := validatePosIndex(b, v, &ns.pending[b], want.pending[b]); err != nil {
+						return err
 					}
 				}
 				return nil
@@ -1482,11 +1456,12 @@ func (s *Store) Validate() error {
 			return fmt.Errorf("walkstore: stripe %d tracks %d nodes, found %d", i, st.numNodes, numNodes)
 		}
 	}
-	if nVisits != len(wantVisits) {
-		return fmt.Errorf("walkstore: visit table has %d nodes, want %d", nVisits, len(wantVisits))
-	}
-	if nTerminals != len(wantTerminals) {
-		return fmt.Errorf("walkstore: terminal table has %d nodes, want %d", nTerminals, len(wantTerminals))
+	// Every node the store keeps matched its recount above, so what is
+	// left is a node the paths visit that keeps no state.
+	for v := range recount {
+		if s.stripe(v).node(v) == nil {
+			return fmt.Errorf("walkstore: node %d is visited by stored paths but keeps no state", v)
+		}
 	}
 	if stripeTotal != total {
 		return fmt.Errorf("walkstore: per-stripe visit shares sum to %d, want %d", stripeTotal, total)
@@ -1498,22 +1473,11 @@ func (s *Store) Validate() error {
 		return fmt.Errorf("walkstore: per-stripe epochs sum to %d, want %d mutating stripe acquisitions", stripeEpochSum, got)
 	}
 	for d := 0; d < 2; d++ {
-		if nSidedVisits[d] != len(wantSidedVisits[d]) {
-			return fmt.Errorf("walkstore: sided visit table %d has %d nodes, want %d", d, nSidedVisits[d], len(wantSidedVisits[d]))
-		}
-		if nSidedTerminals[d] != len(wantSidedTerminals[d]) {
-			return fmt.Errorf("walkstore: sided terminal table %d has %d nodes, want %d", d, nSidedTerminals[d], len(wantSidedTerminals[d]))
-		}
 		if stripeSided[d] != wantSidedTotals[d] {
 			return fmt.Errorf("walkstore: per-stripe sided shares %d sum to %d, want %d", d, stripeSided[d], wantSidedTotals[d])
 		}
 		if got := s.sidedTotals[d].Load(); got != wantSidedTotals[d] {
 			return fmt.Errorf("walkstore: sidedTotals[%d]=%d want %d", d, got, wantSidedTotals[d])
-		}
-	}
-	for b := 0; b < pendingBuckets; b++ {
-		if nPending[b] != len(wantPending[b]) {
-			return fmt.Errorf("walkstore: pending index bucket %d has %d nodes, want %d", b, nPending[b], len(wantPending[b]))
 		}
 	}
 	return nil
@@ -1558,38 +1522,52 @@ func (s *Store) ValidateSteps(hasEdge func(from, to graph.NodeID) bool) error {
 	return nil
 }
 
+// nodeRecount is Validate's recount of one node from the stored paths: the
+// counters nodeState keeps and, per bucket, the packed pending-position
+// entries in (seg, pos) order.
+type nodeRecount struct {
+	visits, terminals           int64
+	sidedVisits, sidedTerminals [2]int64
+	pending                     [pendingBuckets][]uint64
+}
+
 // validatePosIndex cross-checks one node's pending-position bucket against
-// the full-path recount: exact entry set, representation exclusivity, and
-// sorted/duplicate-free invariants in both representations.
-func validatePosIndex(b int, v graph.NodeID, px *posIndex, want map[PosHit]bool) error {
-	if px.m != nil && px.list != nil {
-		return fmt.Errorf("walkstore: pending[%d][%d] has both slice and map representations", b, v)
+// its recount want (sorted packed entries): the run invariants (non-empty,
+// at most runCap long, strictly increasing within and across runs, lengths
+// summing to n), then the entry count, then the exact entry set.
+func validatePosIndex(b int, v graph.NodeID, px *posIndex, want []uint64) error {
+	sum := 0
+	var prev uint64
+	for i, r := range px.runs {
+		if len(r) == 0 || len(r) > runCap {
+			return fmt.Errorf("walkstore: pending[%d][%d] run %d has %d entries, want 1..%d", b, v, i, len(r), runCap)
+		}
+		for j, e := range r {
+			if (i > 0 || j > 0) && prev >= e {
+				return fmt.Errorf("walkstore: pending[%d][%d] not strictly sorted at run %d entry %d", b, v, i, j)
+			}
+			prev = e
+		}
+		sum += len(r)
+	}
+	if sum != px.n {
+		return fmt.Errorf("walkstore: pending[%d][%d] runs hold %d entries, n=%d", b, v, sum, px.n)
 	}
 	if px.n != len(want) {
 		return fmt.Errorf("walkstore: pending[%d][%d] has %d entries, want %d", b, v, px.n, len(want))
 	}
-	if px.m != nil {
-		for seg, ps := range px.m {
-			if len(ps) == 0 {
-				return fmt.Errorf("walkstore: pending[%d][%d] keeps empty position list for segment %d", b, v, seg)
-			}
-			for i, p := range ps {
-				if i > 0 && ps[i-1] >= p {
-					return fmt.Errorf("walkstore: pending[%d][%d] segment %d positions not strictly sorted", b, v, seg)
+	k := 0
+	for _, r := range px.runs {
+		for _, e := range r {
+			if e != want[k] {
+				if e < want[k] {
+					h := unpackEntry(e)
+					return fmt.Errorf("walkstore: pending[%d][%d] has stale entry (%d,%d)", b, v, h.Seg, h.Pos)
 				}
-				if !want[PosHit{Seg: seg, Pos: p}] {
-					return fmt.Errorf("walkstore: pending[%d][%d] has stale entry (%d,%d)", b, v, seg, p)
-				}
+				h := unpackEntry(want[k])
+				return fmt.Errorf("walkstore: pending[%d][%d] misses entry (%d,%d)", b, v, h.Seg, h.Pos)
 			}
-		}
-		return nil
-	}
-	for i, e := range px.list {
-		if i > 0 && px.list[i-1] >= e {
-			return fmt.Errorf("walkstore: pending[%d][%d] list not strictly sorted at %d", b, v, i)
-		}
-		if h := unpackEntry(e); !want[h] {
-			return fmt.Errorf("walkstore: pending[%d][%d] has stale entry (%d,%d)", b, v, h.Seg, h.Pos)
+			k++
 		}
 	}
 	return nil
