@@ -10,8 +10,9 @@
 // graph.Batcher, and a set of reusable path buffers, so the steady state
 // allocates nothing per segment. Segment generation runs as a lockstep
 // burst: up to Batch walkers advance together, one shard-grouped sampling
-// call per round, and finished bursts are flushed into the store through
-// AddBatch under a single lock acquisition. Edge updates stripe-lock on
+// call per round, and finished bursts are appended to a flat per-chunk
+// walkstore.Batch; one walkstore.Load stores every chunk, in chunk order,
+// once all are walked. Edge updates stripe-lock on
 // SegmentID (via the shared stripes package) so two workers never reroute
 // the same segment concurrently while leaving unrelated segments fully
 // parallel — the same per-segment serialization contract the maintainers'

@@ -24,9 +24,9 @@ type Config struct {
 	// Batch is the number of lockstep walkers per worker burst; 0 means 128.
 	Batch int
 	// Seed seeds the PCG sources. BuildStore derives one source per node
-	// chunk (PCG(Seed, chunkIndex)), so the generated walks are identical
-	// for any worker count; only segment IDs and store layout depend on
-	// scheduling. ApplyEdges derives per-worker sources and is not
+	// chunk (PCG(Seed, chunkIndex)) and stores the chunks in chunk order,
+	// so the generated walks and their segment IDs are identical for any
+	// worker count. ApplyEdges derives per-worker sources and is not
 	// scheduling-deterministic.
 	Seed uint64
 	// CompactEvery, when positive, makes ApplyWindow check the arena after
@@ -84,33 +84,40 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // them, using the worker pool. It returns the total number of walk steps
 // taken (stored path nodes). Nodes are claimed in fixed-size chunks via an
 // atomic cursor, so the work balances even when segment lengths vary; each
-// chunk walks with its own PCG(Seed, chunkIndex) source, so the generated
-// paths do not depend on which worker claims which chunk.
+// chunk walks with its own PCG(Seed, chunkIndex) source into a flat
+// per-chunk buffer, and once every chunk is walked one walkstore.Load
+// stores them in chunk order. The paths and their segment IDs therefore do
+// not depend on which worker claims which chunk, or on the worker count.
+// The store must be empty.
 func (e *Engine) BuildStore(nodes []graph.NodeID) int64 {
 	cfg := e.cfg
 	const chunk = 256
-	var cursor, steps atomic.Int64
+	batches := make([]walkstore.Batch, (len(nodes)+chunk-1)/chunk)
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			gen := newBurstGen(e.g, cfg.Batch, cfg.Eps)
-			var local int64
 			for {
-				lo := int(cursor.Add(chunk)) - chunk
-				if lo >= len(nodes) {
+				c := int(cursor.Add(1)) - 1
+				if c >= len(batches) {
 					break
 				}
-				hi := min(lo+chunk, len(nodes))
-				rng := rand.New(rand.NewPCG(cfg.Seed, uint64(lo/chunk)))
-				local += gen.run(e.store, nodes[lo:hi], cfg.R, rng)
+				lo := c * chunk
+				rng := rand.New(rand.NewPCG(cfg.Seed, uint64(c)))
+				gen.run(&batches[c], nodes[lo:min(lo+chunk, len(nodes))], cfg.R, rng)
 			}
-			steps.Add(local)
 		}()
 	}
 	wg.Wait()
-	return steps.Load()
+	var steps int64
+	for _, b := range batches {
+		steps += int64(len(b.Nodes))
+	}
+	e.store.Load(batches, cfg.Workers)
+	return steps
 }
 
 // burstGen holds one worker's reusable lockstep-walk state.
@@ -124,7 +131,8 @@ type burstGen struct {
 	next []graph.NodeID
 	ok   []bool
 	slot []int // alive walker -> path buffer index
-	// One reusable path buffer per walker slot; flushed via AddBatch.
+	// One reusable path buffer per walker slot, flushed into the chunk's
+	// batch when its burst ends.
 	paths [][]graph.NodeID
 }
 
@@ -142,10 +150,9 @@ func newBurstGen(g *graph.Graph, batch int, eps float64) *burstGen {
 	}
 }
 
-// run generates r segments for every source in sources, flushing each burst
-// into store via AddBatch. It returns the number of stored steps.
-func (b *burstGen) run(store *walkstore.Store, sources []graph.NodeID, r int, rng *rand.Rand) int64 {
-	var steps int64
+// run generates r segments for every source in sources and appends them to
+// out, one burst at a time in walker-slot order.
+func (b *burstGen) run(out *walkstore.Batch, sources []graph.NodeID, r int, rng *rand.Rand) {
 	total := len(sources) * r
 	emitted := 0
 	for emitted < total {
@@ -185,12 +192,12 @@ func (b *burstGen) run(store *walkstore.Store, sources []graph.NodeID, r int, rn
 				i++
 			}
 		}
-		store.AddBatch(b.paths[:n])
-		for i := 0; i < n; i++ {
-			steps += int64(len(b.paths[i]))
+		for _, p := range b.paths[:n] {
+			start := len(out.Nodes)
+			out.Nodes = append(out.Nodes, p...)
+			out.EndSegment(start, walkstore.Unsided)
 		}
 	}
-	return steps
 }
 
 // retire swap-removes walker i from the alive prefix and returns the new

@@ -280,10 +280,12 @@ func (m *Maintainer) Store() *walkstore.Store { return m.walks }
 func (m *Maintainer) Social() *socialstore.Store { return m.soc }
 
 // Bootstrap generates cfg.R segments for every node currently in the graph
-// using the parallel engine and marks those nodes as owned. It returns the
-// number of walk steps stored. Bootstrap is the paper's offline
-// preprocessing pass; it walks the graph directly and is not call-accounted.
-// Call it exactly once, before the first ApplyEdge.
+// using the parallel engine (engine.BuildStore, one bulk walkstore.Load)
+// and marks those nodes as owned. It returns the number of walk steps
+// stored. The paths and their segment IDs are identical for any worker
+// count. Bootstrap is the paper's offline preprocessing pass; it walks the
+// graph directly and is not call-accounted. The walk store must be empty:
+// call Bootstrap exactly once, before the first ApplyEdge.
 func (m *Maintainer) Bootstrap() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

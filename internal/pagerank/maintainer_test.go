@@ -3,6 +3,7 @@ package pagerank
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"fastppr/internal/exact"
@@ -10,6 +11,7 @@ import (
 	"fastppr/internal/graph"
 	"fastppr/internal/socialstore"
 	"fastppr/internal/stats"
+	"fastppr/internal/walkstore"
 )
 
 const oracleTol = 1e-11
@@ -376,6 +378,30 @@ func TestTruncatedGeometricLaw(t *testing.T) {
 		sigma := math.Sqrt(want * (1 - want) / float64(trials))
 		if math.Abs(got-want) > 5*sigma {
 			t.Fatalf("P(J=%d)=%v want %v (+-%v)", j, got, want, 5*sigma)
+		}
+	}
+}
+
+// TestBootstrapIgnoresWorkerCount pins bulk-load determinism: the
+// bootstrapped store, segment IDs included, is bitwise the same for every
+// worker count.
+func TestBootstrapIgnoresWorkerCount(t *testing.T) {
+	g := gen.PreferentialAttachment(1500, 4, rand.New(rand.NewPCG(53, 0)))
+	var first *walkstore.Dump
+	for _, workers := range []int{1, 2, 4} {
+		mt := New(socialstore.New(g), Config{Eps: 0.2, R: 3, Workers: workers, Seed: 54})
+		mt.Bootstrap()
+		if err := mt.Store().Validate(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		d, err := mt.Store().Dump()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = d
+		} else if !reflect.DeepEqual(d, first) {
+			t.Fatalf("workers=%d: bootstrapped store differs from workers=1", workers)
 		}
 	}
 }

@@ -351,8 +351,12 @@ func (m *Maintainer) Social() *socialstore.Store { return m.soc }
 // returns the number of walk steps stored. Like the PageRank bootstrap this
 // is the offline preprocessing pass: it walks the graph directly and is not
 // call-accounted. Nodes are claimed in fixed-size chunks, each walked with
-// its own PCG(Seed, chunkIndex) source, so the generated paths are identical
-// for any worker count. Call it exactly once, before the first ApplyEdge.
+// its own PCG(Seed, chunkIndex) source into flat per-chunk buffers; once
+// every chunk is walked, one walkstore.Load stores them in chunk order,
+// each chunk's forward segments before its backward ones. The paths and
+// their segment IDs are therefore identical for any worker count. The walk
+// store must be empty: call Bootstrap exactly once, before the first
+// ApplyEdge.
 func (m *Maintainer) Bootstrap() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -363,47 +367,50 @@ func (m *Maintainer) Bootstrap() int64 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	const chunk = 256
-	var cursor, steps atomic.Int64
+	// batches[2c] and batches[2c+1] hold chunk c's forward and backward
+	// segments.
+	batches := make([]walkstore.Batch, 2*((len(nodes)+chunk-1)/chunk))
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var pathsF, pathsB [][]graph.NodeID
-			var local int64
 			for {
-				lo := int(cursor.Add(chunk)) - chunk
-				if lo >= len(nodes) {
+				c := int(cursor.Add(1)) - 1
+				if 2*c >= len(batches) {
 					break
 				}
-				hi := min(lo+chunk, len(nodes))
-				rng := rand.New(rand.NewPCG(m.cfg.Seed, uint64(lo/chunk)))
-				pathsF, pathsB = pathsF[:0], pathsB[:0]
-				for _, v := range nodes[lo:hi] {
+				lo := c * chunk
+				rng := rand.New(rand.NewPCG(m.cfg.Seed, uint64(c)))
+				fwd, bwd := &batches[2*c], &batches[2*c+1]
+				for _, v := range nodes[lo:min(lo+chunk, len(nodes))] {
 					for i := 0; i < m.cfg.R; i++ {
-						seg := walk.Salsa(g, v, walk.Forward, m.cfg.Eps, rng)
-						pathsF = append(pathsF, seg.Path)
-						local += int64(len(seg.Path))
+						start := len(fwd.Nodes)
+						fwd.Nodes = walk.AppendContinueSalsa(g, v, walk.Forward, m.cfg.Eps, rng, append(fwd.Nodes, v))
+						fwd.EndSegment(start, walkstore.SideForward)
 					}
 					for i := 0; i < m.cfg.R; i++ {
-						seg := walk.Salsa(g, v, walk.Backward, m.cfg.Eps, rng)
-						pathsB = append(pathsB, seg.Path)
-						local += int64(len(seg.Path))
+						start := len(bwd.Nodes)
+						bwd.Nodes = walk.AppendContinueSalsa(g, v, walk.Backward, m.cfg.Eps, rng, append(bwd.Nodes, v))
+						bwd.EndSegment(start, walkstore.SideBackward)
 					}
 				}
-				m.walks.AddBatchSided(pathsF, walkstore.SideForward)
-				m.walks.AddBatchSided(pathsB, walkstore.SideBackward)
 			}
-			steps.Add(local)
 		}()
 	}
 	wg.Wait()
+	var steps int64
+	for _, b := range batches {
+		steps += int64(len(b.Nodes))
+	}
+	m.walks.Load(batches, workers)
 	m.knownMu.Lock()
 	for _, v := range nodes {
 		m.known[v] = true
 	}
 	m.knownMu.Unlock()
-	return steps.Load()
+	return steps
 }
 
 // ApplyEdge consumes one edge arrival: it writes the edge through the social

@@ -3,12 +3,14 @@ package salsa
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"fastppr/internal/exact"
 	"fastppr/internal/gen"
 	"fastppr/internal/graph"
 	"fastppr/internal/socialstore"
+	"fastppr/internal/walkstore"
 )
 
 const oracleTol = 1e-11
@@ -330,5 +332,29 @@ func TestEmptyMaintainer(t *testing.T) {
 	}
 	if st := q.Stats(); st.StoreCalls != st.BareSteps {
 		t.Fatalf("call accounting drifted on empty graph: %+v", st)
+	}
+}
+
+// TestBootstrapIgnoresWorkerCount pins bulk-load determinism: the
+// bootstrapped store, segment IDs included, is bitwise the same for every
+// worker count.
+func TestBootstrapIgnoresWorkerCount(t *testing.T) {
+	g := gen.PreferentialAttachment(1500, 4, rand.New(rand.NewPCG(51, 0)))
+	var first *walkstore.Dump
+	for _, workers := range []int{1, 2, 4} {
+		mt, _ := newMaintainer(g, Config{Eps: 0.2, R: 3, Workers: workers, Seed: 52})
+		mt.Bootstrap()
+		if err := mt.Store().Validate(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		d, err := mt.Store().Dump()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = d
+		} else if !reflect.DeepEqual(d, first) {
+			t.Fatalf("workers=%d: bootstrapped store differs from workers=1", workers)
+		}
 	}
 }

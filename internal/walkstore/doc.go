@@ -114,5 +114,8 @@
 // untouched and cached query results stay valid across a compaction.
 // MaybeCompact wraps Compact behind a garbage-ratio gate — it only pays
 // for the arena copy when at least a quarter of the slots are garbage —
-// and is what the maintainers' periodic triggers call.
+// and is what the maintainers' periodic triggers call. Load fills an empty
+// store in one count-then-fill pass, with each owner list and index run
+// allocated once at its final size; the bootstraps and Restore use it, and
+// it builds exactly the store ascending AddBatchSided calls would.
 package walkstore

@@ -2,6 +2,7 @@ package walkstore
 
 import (
 	"fmt"
+	"runtime"
 
 	"fastppr/internal/graph"
 )
@@ -64,20 +65,25 @@ func (s *Store) Dump() (*Dump, error) {
 	return d, nil
 }
 
-// Restore builds a fresh store from a dump, rebuilding every derived
-// structure — counters, owner lists, terminals, and the pending-position
-// index — from the live paths, then cross-checking the recounted totals
+// Restore builds a fresh store from a dump: New plus one bulk Load of the
+// dump's segment table, dead slots included, which rebuilds every derived
+// structure (counters, owner lists, terminals, and the pending-position
+// index) from the live paths. It then cross-checks the recounted totals
 // against the dump's. The rebuilt store is behaviorally identical to the
 // dumped one: segment IDs (dead slots included), epoch, owner-list order
 // (per node, entries were appended in ascending-ID order on the live store,
-// which is exactly the order a single ascending pass reproduces), and every
-// counter match bitwise; only arena offsets differ, and nothing observes
-// those.
+// which is exactly the order Load reproduces), and every counter match
+// bitwise; only arena offsets and index run boundaries may differ, and
+// nothing reads those. A dump whose epoch is below its slot count is
+// rejected: every slot came from an add that advanced the epoch.
 func Restore(d *Dump) (*Store, error) {
-	s := New()
+	if d.Epoch < int64(len(d.Segs)) {
+		return nil, fmt.Errorf("walkstore: restore: dump epoch %d is below its %d segment slots", d.Epoch, len(d.Segs))
+	}
+	b := Batch{Lens: make([]int32, len(d.Segs)), Sides: make([]Side, len(d.Segs))}
+	numNodes := 0
 	for i, sd := range d.Segs {
 		if !sd.Live {
-			s.segs = append(s.segs, segRef{})
 			continue
 		}
 		if len(sd.Path) == 0 {
@@ -86,77 +92,25 @@ func Restore(d *Dump) (*Store, error) {
 		if sd.Side != Unsided && sd.Side != SideForward && sd.Side != SideBackward {
 			return nil, fmt.Errorf("walkstore: restore: segment %d has invalid side %d", i, sd.Side)
 		}
-		off := int64(len(s.arena))
-		s.arena = append(s.arena, sd.Path...)
-		s.segs = append(s.segs, segRef{off: off, n: int32(len(sd.Path)), side: sd.Side, live: true})
-		s.numLive++
-		s.liveNodes += int64(len(sd.Path))
+		b.Lens[i], b.Sides[i] = int32(len(sd.Path)), sd.Side
+		numNodes += len(sd.Path)
 	}
+	b.Nodes = make([]graph.NodeID, 0, numNodes)
+	for _, sd := range d.Segs {
+		if sd.Live {
+			b.Nodes = append(b.Nodes, sd.Path...)
+		}
+	}
+	s := New()
+	s.load([]Batch{b}, runtime.GOMAXPROCS(0))
 
-	// Re-index every live segment in ascending ID order. This mirrors
-	// indexBatch but carries the side per segment, since one restore pass
-	// spans sides the live store added in separate batches.
-	type restoreOp struct {
-		id   SegmentID
-		v    graph.NodeID
-		pos  int32
-		side Side
-		kind uint8
-	}
-	var ops [numStripes][]restoreOp
-	var total int64
-	var sided [2]int64
-	for i := range s.segs {
-		r := s.segs[i]
-		if !r.live {
-			continue
-		}
-		id := SegmentID(i)
-		p := s.pathLocked(r)
-		src := p[0]
-		ops[stripeIndex(src)] = append(ops[stripeIndex(src)], restoreOp{id: id, v: src, side: r.side, kind: opOwner})
-		end := p[len(p)-1]
-		ops[stripeIndex(end)] = append(ops[stripeIndex(end)], restoreOp{id: id, v: end, pos: int32(len(p) - 1), side: r.side, kind: opTerminal})
-		for pos, v := range p {
-			ops[stripeIndex(v)] = append(ops[stripeIndex(v)], restoreOp{id: id, v: v, pos: int32(pos), side: r.side, kind: opVisit})
-			total++
-			if r.side >= 0 {
-				sided[r.side.PendingAt(pos)]++
-			}
-		}
-	}
-	// The store is private to this goroutine until Restore returns, so no
-	// locks are taken.
-	for si := range ops {
-		st := &s.stripes[si]
-		for _, op := range ops[si] {
-			switch op.kind {
-			case opOwner:
-				ns := st.nodeCreate(op.v)
-				ns.owned = append(ns.owned, op.id)
-				if op.side >= 0 {
-					ns.ownedSided[op.side] = append(ns.ownedSided[op.side], op.id)
-				}
-			case opTerminal:
-				ns := st.nodeCreate(op.v)
-				ns.terminals++
-				if op.side >= 0 {
-					ns.sidedTerminals[op.side.PendingAt(int(op.pos))]++
-				}
-			case opVisit:
-				s.addVisitLocked(st, op.id, op.v, int(op.pos), op.side)
-			}
-		}
-	}
-	s.bumpTotals(total, sided)
-
-	if total != d.TotalVisits {
+	if total := s.totalVisits.Load(); total != d.TotalVisits {
 		return nil, fmt.Errorf("walkstore: restore: dump declares %d total visits, paths recount %d", d.TotalVisits, total)
 	}
 	for dir := 0; dir < 2; dir++ {
-		if sided[dir] != d.SidedTotals[dir] {
+		if sided := s.sidedTotals[dir].Load(); sided != d.SidedTotals[dir] {
 			return nil, fmt.Errorf("walkstore: restore: dump declares %d sided visits for direction %d, paths recount %d",
-				d.SidedTotals[dir], dir, sided[dir])
+				d.SidedTotals[dir], dir, sided)
 		}
 	}
 	s.epoch.Store(d.Epoch)

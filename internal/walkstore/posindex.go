@@ -164,6 +164,32 @@ func (px *posIndex) remove(seg SegmentID, pos int32) {
 	px.runs[ri] = slices.Delete(r, i, i+1)
 }
 
+// reserve allocates runs for the px.n entries a bulk load counted, at their
+// final size and in one block: full runs of runCap and a partial last one,
+// the boundaries ascending adds would leave. It empties the index for fill.
+// Each run's capacity ends where the next run begins, so a later insert
+// into a full run reallocates that run instead of writing into its
+// neighbour.
+func (px *posIndex) reserve() {
+	if px.n == 0 {
+		return
+	}
+	block := make([]uint64, px.n)
+	px.runs = make([][]uint64, (px.n+runCap-1)/runCap)
+	for i := range px.runs {
+		lo := i * runCap
+		px.runs[i] = block[lo:lo:min(lo+runCap, px.n)]
+	}
+	px.n = 0
+}
+
+// fill appends e, which must sort after every entry, to a reserved index.
+func (px *posIndex) fill(e uint64) {
+	r := px.n / runCap
+	px.runs[r] = append(px.runs[r], e)
+	px.n++
+}
+
 // appendTo appends every entry to dst in (seg, pos) order: the runs in
 // sequence.
 func (px *posIndex) appendTo(dst []PosHit) []PosHit {

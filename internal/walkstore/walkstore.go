@@ -66,9 +66,9 @@ type Observer func(seg SegmentID, node graph.NodeID, pos int, delta int)
 // and must not block on anything that itself mutates the store (the calls
 // run under the segment lock). See docs/DESIGN.md#8-durability--recovery.
 type MutationLog interface {
-	// LogAdd records a stored segment: AddBatchSided emits one call per path,
-	// in ID order. The store's epoch after the mutation completes is the
-	// number of LogAdd/LogReplaceTail/LogRemove calls issued so far.
+	// LogAdd records a stored segment: AddBatchSided and Load emit one call
+	// per path, in ID order. The store's epoch after the mutation completes
+	// is the number of LogAdd/LogReplaceTail/LogRemove calls issued so far.
 	LogAdd(id SegmentID, side Side, path []graph.NodeID)
 	// LogReplaceTail records a tail replacement (keep >= 1 prefix nodes, then
 	// tail). No-op replacements (keep == length, empty tail) are not logged,
@@ -418,9 +418,9 @@ func (s *Store) AddSided(path []graph.NodeID, side Side) SegmentID {
 }
 
 // AddBatch stores many unsided segments under one arena-lock acquisition —
-// the bulk-load path the parallel walk engine uses to flush a burst of
-// finished segments. Every path must be non-empty; paths are copied. The
-// returned IDs are in input order.
+// the path the maintainers use to seed nodes first seen mid-stream (an
+// empty store is filled with Load instead). Every path must be non-empty;
+// paths are copied. The returned IDs are in input order.
 func (s *Store) AddBatch(paths [][]graph.NodeID) []SegmentID {
 	return s.AddBatchSided(paths, Unsided)
 }
@@ -1313,6 +1313,11 @@ func (s *Store) Validate() error {
 	// so a non-zero count here is definitive, not transient.
 	if n := s.mutators.Load(); n != 0 {
 		return fmt.Errorf("%w: %d segment mutations in flight", ErrConcurrentMutation, n)
+	}
+	// Every slot, live or dead, was created by an add that advanced the
+	// epoch.
+	if e := s.epoch.Load(); e < int64(len(s.segs)) {
+		return fmt.Errorf("walkstore: epoch %d is below the %d segment slots", e, len(s.segs))
 	}
 
 	// The recount keeps one record per node. Segments are walked in ID
