@@ -1,6 +1,7 @@
 // Command benchwalk is the reproducible walk-engine benchmark: it builds a
 // preferential-attachment graph, times full walk-store construction (n·R
-// segments) and an edge-arrival update storm at several worker counts, and
+// segments, pagerank.Maintainer.Bootstrap) and an edge-arrival update storm
+// through the same PageRank maintainer at several worker counts, and
 // writes the results to a JSON file (BENCH_walkgen.json at the repo root by
 // convention) so the performance trajectory is tracked across PRs. The
 // report records num_cpu and gomaxprocs, so a committed result is
@@ -18,9 +19,10 @@
 // The churn profile (-churn, on by default) folds the storm into a
 // shrink-grow event stream — arrivals interleaved with deletions of live
 // edges — and replays it through both maintainers (delete throughput of the
-// reverse reroute rule), then streams the storm through the engine's
-// sliding window at a capacity below the stream length so expiring edges
-// exercise the deletion path continuously.
+// reverse reroute rule), then streams the storm through a serialized
+// PageRank maintainer as a sliding window (graph.WindowEvents) at a
+// capacity below the stream length so expiring edges exercise the deletion
+// path continuously.
 //
 // The arrival stream's shape is selectable with -workload: uniform (the
 // default random-pair mix), poisson-burst (temporally clumped arrivals
@@ -47,7 +49,7 @@
 //	go run ./cmd/benchwalk -smoke             # small CI-sized run
 //	go run ./cmd/benchwalk -workers 1,4,8     # explicit build worker counts
 //	go run ./cmd/benchwalk -updateworkers 1,4 # maintainer storm worker counts
-//	go run ./cmd/benchwalk -maintstorm=false  # engine-only runs
+//	go run ./cmd/benchwalk -maintstorm=false  # build/storm runs only
 //	go run ./cmd/benchwalk -wal batch:64      # one durability policy, not the sweep
 //	go run ./cmd/benchwalk -crash -smoke      # kill -9 crash-recovery harness only
 package main
@@ -70,7 +72,6 @@ import (
 	"syscall"
 	"time"
 
-	"fastppr/internal/engine"
 	"fastppr/internal/gen"
 	"fastppr/internal/graph"
 	"fastppr/internal/lint"
@@ -248,10 +249,12 @@ type churnResult struct {
 	SlowNoops     int64   `json:"slow_noops"`
 }
 
-// windowResult reports the sliding-window driver: the storm streamed
-// through engine.ApplyWindow at a capacity below the stream length, so
-// every arrival past the fill phase expires the oldest windowed edge
-// through the deletion path.
+// windowResult reports the sliding-window profile: the storm turned into a
+// window event stream (graph.WindowEvents) at a capacity below the stream
+// length and applied through a serialized pagerank.Maintainer's
+// ApplyEvents, so every arrival past the fill phase is followed by the
+// deletion of the oldest windowed edge. DeleteMissed is the maintainer's
+// DelMisses.
 type windowResult struct {
 	Capacity     int     `json:"capacity"`
 	Streamed     int     `json:"streamed"`
@@ -495,7 +498,6 @@ func main() {
 		*n, *d, p, runtime.NumCPU())
 	rng := rand.New(rand.NewPCG(*seed, 0))
 	base := gen.PreferentialAttachment(*n, *d, rng)
-	nodes := base.Nodes()
 	storm := makeStorm(*workload, *n, *updates, rng)
 
 	rep := report{
@@ -518,7 +520,7 @@ func main() {
 
 	for _, w := range counts {
 		bailIfInterrupted(nil)
-		res := benchOne(base, nodes, storm, *r, *eps, *seed, w)
+		res := benchOne(base, storm, *r, *eps, *seed, w)
 		rep.Runs = append(rep.Runs, res)
 		fmt.Printf("workers=%-3d build %7.3fs (%.2fM steps/s)   storm %7.3fs (%.0f edges/s, %d rerouted)\n",
 			w, res.BuildSeconds, res.StepsPerSec/1e6, res.UpdateSeconds, res.EdgesPerSec, res.Rerouted)
@@ -936,34 +938,35 @@ func verifyReport(path string) error {
 
 // benchOne times store construction and the update storm at one worker
 // count, on a private clone of the graph so runs do not contaminate each
-// other.
-func benchOne(base *graph.Graph, nodes []graph.NodeID, storm []graph.Edge, r int, eps float64, seed uint64, w int) runResult {
-	g := base.Clone()
-	store := walkstore.New()
-	eng := engine.New(g, store, engine.Config{Eps: eps, R: r, Workers: w, Seed: seed})
+// other: a PageRank maintainer bootstraps with w build workers
+// (engine.BuildStore) and consumes the storm through ApplyEdges with w
+// update workers. Rerouted counts reroutes and revivals.
+func benchOne(base *graph.Graph, storm []graph.Edge, r int, eps float64, seed uint64, w int) runResult {
+	mt := pagerank.New(socialstore.New(base.Clone()), pagerank.Config{Eps: eps, R: r, Workers: w, UpdateWorkers: w, Seed: seed})
 
 	t0 := time.Now()
-	steps := eng.BuildStore(nodes)
+	steps := mt.Bootstrap()
 	build := time.Since(t0)
 
 	t1 := time.Now()
-	stats := eng.ApplyEdges(storm, seed+1)
+	mt.ApplyEdges(storm)
 	storming := time.Since(t1)
 
+	c := mt.Counters()
 	res := runResult{
 		Workers:       w,
 		BuildSeconds:  build.Seconds(),
-		Segments:      store.NumSegments(),
+		Segments:      mt.Store().NumSegments(),
 		BuildSteps:    steps,
 		UpdateSeconds: storming.Seconds(),
-		UpdateEdges:   stats.Edges,
-		Rerouted:      stats.Rerouted,
+		UpdateEdges:   len(storm),
+		Rerouted:      c.Rerouted + c.Revived,
 	}
 	if s := build.Seconds(); s > 0 {
 		res.StepsPerSec = float64(steps) / s
 	}
 	if s := storming.Seconds(); s > 0 {
-		res.EdgesPerSec = float64(stats.Edges) / s
+		res.EdgesPerSec = float64(len(storm)) / s
 	}
 	return res
 }
@@ -1357,10 +1360,11 @@ func benchAdversarial(base *graph.Graph, name string, n, m, r int, eps float64, 
 // benchChurn folds the update storm into a shrink-grow churn stream and
 // replays it through both incremental maintainers at each update-worker
 // count — the deletion-throughput profile of the reverse reroute rule —
-// then streams the raw storm through the engine's sliding window at a
-// capacity of a quarter of the stream, so three quarters of the arrivals
-// expire back out through the deletion path. Every replay runs on a
-// private clone so the profiles do not contaminate each other.
+// then streams the raw storm through a serialized PageRank maintainer as a
+// sliding window at a capacity of a quarter of the stream, so three
+// quarters of the arrivals expire back out through the deletion path.
+// Every replay runs on a private clone so the profiles do not contaminate
+// each other.
 func benchChurn(base *graph.Graph, storm []graph.Edge, r int, eps float64, seed uint64, ucounts []int, compactEvery int) churnReport {
 	events := gen.ShrinkGrowStream(storm, 4, 0.3, rand.New(rand.NewPCG(seed, 0xc1124)))
 	arrivals, deletions := 0, 0
@@ -1402,22 +1406,23 @@ func benchChurn(base *graph.Graph, storm []graph.Edge, r int, eps float64, seed 
 		chr.Storms = append(chr.Storms, row("salsa", uw, time.Since(t0), c.DelMisses, c.DelRerouted, c.DelTruncated, c.SlowNoops))
 	}
 
-	g := base.Clone()
-	store := walkstore.New()
-	eng := engine.New(g, store, engine.Config{Eps: eps, R: r, Workers: 1, Seed: seed, CompactEvery: compactEvery})
-	eng.BuildStore(g.Nodes())
+	mt := pagerank.New(socialstore.New(base.Clone()), pagerank.Config{Eps: eps, R: r, Seed: seed, CompactEvery: compactEvery})
+	mt.Bootstrap()
 	capacity := max(1, len(storm)/4)
+	window := graph.WindowEvents(storm, capacity)
 	t0 := time.Now()
-	ws := eng.ApplyWindow(storm, capacity, seed+3)
+	mt.ApplyEvents(window)
 	el := time.Since(t0)
+	c := mt.Counters()
+	expired := int(c.Deletions - c.DelMisses)
 	w := windowResult{
-		Capacity: capacity, Streamed: ws.Arrived, Expired: ws.Expired,
-		Turnover: ws.Turnover(), Seconds: el.Seconds(),
-		Rerouted: ws.Delete.Rerouted, Truncated: ws.Delete.Truncated, DeleteMissed: ws.Delete.Missed,
+		Capacity: capacity, Streamed: int(c.Arrivals), Expired: expired,
+		Turnover: float64(expired) / float64(len(storm)), Seconds: el.Seconds(),
+		Rerouted: c.DelRerouted, Truncated: c.DelTruncated, DeleteMissed: int(c.DelMisses),
 	}
-	w.ArenaLive, w.ArenaTotal, w.ArenaGarbage = arenaColumns(store)
+	w.ArenaLive, w.ArenaTotal, w.ArenaGarbage = arenaColumns(mt.Store())
 	if s := el.Seconds(); s > 0 {
-		w.EdgesPerSec = float64(ws.Arrived) / s
+		w.EdgesPerSec = float64(c.Arrivals) / s
 	}
 	chr.Window = &w
 	return chr

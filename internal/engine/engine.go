@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 
 	"fastppr/internal/graph"
-	"fastppr/internal/stripes"
-	"fastppr/internal/walk"
 	"fastppr/internal/walkstore"
 )
 
@@ -26,17 +24,8 @@ type Config struct {
 	// Seed seeds the PCG sources. BuildStore derives one source per node
 	// chunk (PCG(Seed, chunkIndex)) and stores the chunks in chunk order,
 	// so the generated walks and their segment IDs are identical for any
-	// worker count. ApplyEdges derives per-worker sources and is not
-	// scheduling-deterministic.
+	// worker count.
 	Seed uint64
-	// CompactEvery, when positive, makes ApplyWindow check the arena after
-	// every CompactEvery-th streamed arrival (and once more at the end of
-	// the stream), compacting when at least a quarter of it is garbage
-	// (walkstore.MaybeCompact) — reclaiming what the window's reroutes and
-	// expiries leave behind without repeatedly copying a mostly-live arena.
-	// Compaction changes no logical state, so fixed-seed window runs are
-	// bitwise identical with it on or off.
-	CompactEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -52,18 +41,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// updateStripes is the number of per-segment locks serializing concurrent
-// reroutes of the same segment during ApplyEdges.
-const updateStripes = 512
-
-// Engine generates and maintains walk segments over a graph/store pair.
-// Methods are safe for concurrent use, though BuildStore is normally called
-// once.
+// Engine generates the initial walk segments over a graph/store pair.
 type Engine struct {
 	g     *graph.Graph
 	store *walkstore.Store
 	cfg   Config
-	segMu *stripes.MutexSet
 }
 
 // New returns an engine over g and store.
@@ -71,14 +53,8 @@ func New(g *graph.Graph, store *walkstore.Store, cfg Config) *Engine {
 	if cfg.Eps <= 0 || cfg.Eps > 1 {
 		panic("engine: Eps must be in (0, 1]")
 	}
-	return &Engine{g: g, store: store, cfg: cfg.withDefaults(), segMu: stripes.NewMutexSet(updateStripes)}
+	return &Engine{g: g, store: store, cfg: cfg.withDefaults()}
 }
-
-// Store returns the engine's walk store.
-func (e *Engine) Store() *walkstore.Store { return e.store }
-
-// Graph returns the engine's graph.
-func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // BuildStore generates cfg.R segments for every node in nodes and stores
 // them, using the worker pool. It returns the total number of walk steps
@@ -209,195 +185,4 @@ func (b *burstGen) retire(i, alive int) int {
 	b.next[i] = b.next[alive]
 	b.ok[i] = b.ok[alive]
 	return alive
-}
-
-// UpdateStats aggregates the work done by an ApplyEdges run.
-type UpdateStats struct {
-	Edges     int   // edge arrivals applied
-	Rerouted  int64 // segments whose tail was regenerated
-	StepsIn   int64 // visits added by reroutes
-	StepsOut  int64 // visits removed by reroutes
-	Candidate int64 // segment visits examined (the paper's W(u) work bound)
-}
-
-// updState is one ApplyEdges worker's reusable buffers: regenerated tail,
-// stripe-lock keys, and the pending-position probe/freeze scratch.
-type updState struct {
-	tail  []graph.NodeID
-	keys  []uint64
-	idx   []int
-	hits  []walkstore.PosHit
-	segs  []walkstore.SegmentID
-	paths [][]graph.NodeID
-
-	// Deferred-write state: the repair loops sample fresh tails into
-	// tailBuf inline (preserving the exact RNG consumption order) and
-	// record a pendingMut each; flushMuts applies one arrival's mutations
-	// through one stripe-grouped ReplaceTailBatch pass.
-	tailBuf []graph.NodeID
-	muts    []pendingMut
-	tms     []walkstore.TailMutation
-}
-
-// pendingMut is one deferred ReplaceTail; start == end records a pure
-// truncation (the deletion path's reverse revival).
-type pendingMut struct {
-	id         walkstore.SegmentID
-	keep       int
-	start, end int // st.tailBuf[start:end] is the fresh tail
-}
-
-// flushMuts applies the deferred tail mutations through one stripe-grouped
-// ReplaceTailBatch pass, crediting removed/added visits to the caller's
-// stats. Registered with defer after the UnlockSet defer, so it runs (LIFO)
-// while the segment stripe locks are still held.
-func (e *Engine) flushMuts(st *updState, stepsOut, stepsIn *int64) {
-	if len(st.muts) == 0 {
-		return
-	}
-	st.tms = st.tms[:0]
-	for _, mu := range st.muts {
-		var tail []graph.NodeID
-		if mu.end > mu.start {
-			tail = st.tailBuf[mu.start:mu.end:mu.end]
-		}
-		st.tms = append(st.tms, walkstore.TailMutation{ID: mu.id, Keep: mu.keep, NewTail: tail})
-	}
-	removed, added := e.store.ReplaceTailBatch(st.tms)
-	*stepsOut += int64(removed)
-	*stepsIn += int64(added)
-	st.muts = st.muts[:0]
-	st.tailBuf = st.tailBuf[:0]
-}
-
-// ApplyEdges replays edge arrivals through the paper's update rule using the
-// worker pool: for each arriving edge (u, v), after inserting it the new
-// out-degree of u is d, and every stored walk step leaving u is redirected
-// through v with probability 1/d; a redirected segment keeps its prefix up
-// to that visit, steps to v, and continues with a fresh geometric walk.
-// An edge that takes u from dangling to degree 1 instead revives the walks
-// that died at u: each continues through the new edge with probability
-// 1-eps, restoring the geometric law. Distinct edges proceed in parallel;
-// reroutes of the same segment are serialized by SegmentID stripe locks.
-//
-// Caveat: when two goroutines insert the *first two* edges of the same
-// source concurrently, both may observe d=2 and skip the dangling revival.
-// Arrival streams are modeled after real social traffic where repeat edges
-// from one brand-new source inside one batch are rare; a strict maintainer
-// can serialize per-source if it needs exactness there.
-func (e *Engine) ApplyEdges(edges []graph.Edge, seed uint64) UpdateStats {
-	cfg := e.cfg
-	var cursor atomic.Int64
-	var stats UpdateStats
-	var statsMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(seed, uint64(worker)))
-			var local UpdateStats
-			var st updState
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(edges) {
-					break
-				}
-				ed := edges[i]
-				e.g.AddEdge(ed.From, ed.To)
-				local.Edges++
-				e.applyOne(ed, rng, &st, &local)
-			}
-			statsMu.Lock()
-			stats.Edges += local.Edges
-			stats.Rerouted += local.Rerouted
-			stats.StepsIn += local.StepsIn
-			stats.StepsOut += local.StepsOut
-			stats.Candidate += local.Candidate
-			statsMu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	return stats
-}
-
-// applyOne reroutes the stored segments affected by one inserted edge,
-// consuming the store's pending-position index: probe the visit positions at
-// u, freeze the hit segments under their SegmentID stripes, re-read the
-// index so every position is exact (another worker may have rerouted a
-// probed segment in between), then flip coins only at the stored steps the
-// new edge can actually capture instead of walking every visitor's path.
-func (e *Engine) applyOne(ed graph.Edge, rng *rand.Rand, st *updState, stats *UpdateStats) {
-	u, v := ed.From, ed.To
-	d := e.g.OutDegree(u)
-	if d == 0 {
-		return
-	}
-	inv := 1.0 / float64(d)
-	// firstEdge: this arrival took u from dangling to degree 1. Every stored
-	// walk that visits u then ended there (a dangling node terminates every
-	// visit), so instead of rerouting mid-path steps we must revive the
-	// terminal visit: a fresh walk arriving at u now continues with
-	// probability 1-eps, and its only possible step is the new edge.
-	firstEdge := d == 1
-	st.hits = e.store.AppendPendingPositions(st.hits[:0], u, walkstore.Unsided)
-	if len(st.hits) == 0 {
-		return
-	}
-	st.segs = walkstore.DistinctSegments(st.segs, st.hits)
-	st.keys = st.keys[:0]
-	for _, id := range st.segs {
-		st.keys = append(st.keys, uint64(id))
-	}
-	st.idx = e.segMu.LockKeys(st.keys, st.idx)
-	defer e.segMu.UnlockSet(st.idx)
-	defer e.flushMuts(st, &stats.StepsOut, &stats.StepsIn)
-	if e.cfg.Workers > 1 {
-		// Another worker may have mutated a probed segment between the probe
-		// and the freeze; re-read now that the segments cannot move.
-		st.hits = e.store.AppendPendingPositions(st.hits[:0], u, walkstore.Unsided)
-		st.hits = walkstore.KeepSegments(st.hits, st.segs)
-	}
-	st.paths = e.store.AppendPaths(st.paths, st.segs)
-	g := 0
-	for i := 0; i < len(st.hits); {
-		id := st.hits[i].Seg
-		j := i
-		for j < len(st.hits) && st.hits[j].Seg == id {
-			j++
-		}
-		group := st.hits[i:j]
-		i = j
-		for st.segs[g] != id {
-			g++
-		}
-		path := st.paths[g]
-		reroute := -1
-		for _, h := range group {
-			// Only non-terminal visits take an outgoing step that the new
-			// edge can capture.
-			if int(h.Pos) >= len(path)-1 {
-				continue
-			}
-			stats.Candidate++
-			if rng.Float64() < inv {
-				reroute = int(h.Pos)
-				break
-			}
-		}
-		if reroute < 0 && firstEdge && int(group[len(group)-1].Pos) == len(path)-1 {
-			stats.Candidate++
-			if rng.Float64() >= e.cfg.Eps {
-				reroute = len(path) - 1
-			}
-		}
-		if reroute < 0 {
-			continue
-		}
-		start := len(st.tailBuf)
-		st.tailBuf = append(st.tailBuf, v)
-		st.tailBuf = walk.AppendContinue(e.g, v, e.cfg.Eps, rng, st.tailBuf)
-		st.muts = append(st.muts, pendingMut{id: id, keep: reroute + 1, start: start, end: len(st.tailBuf)})
-		stats.Rerouted++
-	}
 }

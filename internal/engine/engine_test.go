@@ -87,77 +87,33 @@ func TestBuildStoreDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestApplyEdgesMaintainsInvariants(t *testing.T) {
-	g := buildTestGraph(300, 4, 4)
-	nodes := g.Nodes()
-	store := walkstore.New()
-	eng := New(g, store, Config{Eps: 0.2, R: 4, Workers: 4, Seed: 11})
-	eng.BuildStore(nodes)
-	before := store.NumSegments()
-
-	rng := rand.New(rand.NewPCG(12, 0))
-	var edges []graph.Edge
-	for len(edges) < 500 {
-		u := graph.NodeID(rng.IntN(300))
-		v := graph.NodeID(rng.IntN(300))
-		if u != v {
-			edges = append(edges, graph.Edge{From: u, To: v})
-		}
-	}
-	stats := eng.ApplyEdges(edges, 13)
-	if stats.Edges != len(edges) {
-		t.Fatalf("applied %d edges, want %d", stats.Edges, len(edges))
-	}
-	if stats.Rerouted == 0 {
-		t.Fatal("500 arrivals on a 300-node graph rerouted nothing — update rule not firing")
-	}
-	if store.NumSegments() != before {
-		t.Fatalf("segment count changed: %d -> %d", before, store.NumSegments())
-	}
-	if err := store.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Every rerouted segment must still be a real walk: consecutive nodes
-	// connected by edges.
-	for _, v := range nodes {
-		for _, id := range store.OwnedBy(v) {
-			p := store.Path(id)
-			for i := 1; i < len(p); i++ {
-				if !g.HasEdge(p[i-1], p[i]) {
-					t.Fatalf("segment %d contains non-edge %d->%d", id, p[i-1], p[i])
-				}
-			}
-		}
-	}
-}
-
-// TestConcurrentBuildAndUpdateStress races segment generation, edge updates,
-// and store reads together; run under -race.
+// TestConcurrentBuildAndUpdateStress races segment generation against edge
+// arrivals into the graph it samples and against store reads; run under
+// -race. Arrivals only add edges, so every stored step must still be an edge
+// once both finish.
 func TestConcurrentBuildAndUpdateStress(t *testing.T) {
 	g := buildTestGraph(200, 3, 6)
 	nodes := g.Nodes()
 	store := walkstore.New()
 	eng := New(g, store, Config{Eps: 0.25, R: 2, Workers: 2, Seed: 21})
-	eng.BuildStore(nodes)
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		eng.BuildStore(nodes)
+	}()
+	go func() {
 		rng := rand.New(rand.NewPCG(31, 0))
-		var edges []graph.Edge
-		for len(edges) < 300 {
+		for added := 0; added < 300; {
 			u := graph.NodeID(rng.IntN(200))
 			v := graph.NodeID(rng.IntN(200))
 			if u != v {
-				edges = append(edges, graph.Edge{From: u, To: v})
+				g.AddEdge(u, v)
+				added++
 			}
 		}
-		eng.ApplyEdges(edges, 32)
 	}()
-	// Concurrent readers over the store while the storm runs.
+	// Concurrent readers over the store while the build runs.
 	rng := rand.New(rand.NewPCG(33, 0))
 	for i := 0; i < 2000; i++ {
 		v := nodes[rng.IntN(len(nodes))]
@@ -168,62 +124,14 @@ func TestConcurrentBuildAndUpdateStress(t *testing.T) {
 		}
 	}
 	<-done
+	if got, want := store.NumSegments(), 2*len(nodes); got != want {
+		t.Fatalf("NumSegments=%d want %d", got, want)
+	}
 	if err := store.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
+	if err := store.ValidateSteps(g.HasEdge); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFirstEdgeRevivesDanglingWalks pins the dangling-revival rule: when a
-// node with stored terminal visits gains its first out-edge, about 1-eps of
-// the walks that died there must continue through it.
-func TestFirstEdgeRevivesDanglingWalks(t *testing.T) {
-	// Star into a dangling sink: every walk from a spoke reaches node 0 and
-	// dies there (node 0 has no out-edges).
-	g := graph.New(0)
-	const spokes = 200
-	for i := 1; i <= spokes; i++ {
-		g.AddEdge(graph.NodeID(i), 0)
-	}
-	const eps = 0.2
-	store := walkstore.New()
-	eng := New(g, store, Config{Eps: eps, R: 10, Workers: 2, Seed: 41})
-	eng.BuildStore(g.Nodes())
-
-	// Count stored walks whose final node is the sink.
-	terminalAtSink := 0
-	for _, id := range store.Visitors(0) {
-		p := store.Path(id)
-		if p[len(p)-1] == 0 {
-			terminalAtSink++
-		}
-	}
-	if terminalAtSink == 0 {
-		t.Fatal("no walks terminate at the dangling sink; test setup broken")
-	}
-
-	// First out-edge of the sink arrives.
-	stats := eng.ApplyEdges([]graph.Edge{{From: 0, To: 1}}, 42)
-	if err := store.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Expect ~ (1-eps) * terminalAtSink revivals; allow 5 sigma of a
-	// binomial around it.
-	want := (1 - eps) * float64(terminalAtSink)
-	sigma := math.Sqrt(float64(terminalAtSink) * eps * (1 - eps))
-	if math.Abs(float64(stats.Rerouted)-want) > 5*sigma+1 {
-		t.Fatalf("rerouted %d walks, want ~%.0f (+-%.0f)", stats.Rerouted, want, 5*sigma)
-	}
-	// Revived walks must step through the new edge 0->1.
-	for _, id := range store.Visitors(0) {
-		p := store.Path(id)
-		for i, v := range p[:len(p)-1] {
-			if v == 0 && p[i+1] != 1 {
-				t.Fatalf("segment %d leaves the sink via non-edge 0->%d", id, p[i+1])
-			}
-		}
 	}
 }
 

@@ -29,6 +29,7 @@
 // event stream reproduces adjacency row order bitwise), the primitive
 // under the reverse reroute rule of docs/DESIGN.md#10-deletions--windows.
 // Event tags an edge as an arrival or a deletion for mixed churn streams,
-// and Window is the fixed-capacity FIFO ring the engine's sliding-window
-// driver expires old arrivals through.
+// and Window is the fixed-capacity FIFO ring behind WindowEvents, which
+// turns an arrival stream into a sliding window's event stream: each
+// arrival followed by the expiry it forces.
 package graph

@@ -1,9 +1,8 @@
 package graph
 
 // Event is one mutation in a churn stream: an edge arrival or an edge
-// deletion. Streams of Events are the input to the maintainers' ApplyEvents
-// and to the sliding-window driver, which turns expiring arrivals into
-// deletions.
+// deletion. Streams of Events are the input to the maintainers'
+// ApplyEvents; WindowEvents builds one for a sliding window.
 type Event struct {
 	Edge Edge
 	// Del marks the event as a deletion of one copy of Edge.
@@ -14,8 +13,7 @@ type Event struct {
 // sliding-window graphs where only the last T arrivals count. Push admits a
 // new arrival and, once the window is full, yields the arrival that just
 // slid out — the caller feeds it back through the deletion path. Window is a
-// plain ring buffer with no locking: one driver owns it, mirroring the
-// serialized maintainer paths it feeds.
+// plain ring buffer with no locking: one driver owns it.
 type Window struct {
 	buf  []Edge
 	head int // index of the oldest edge
@@ -59,4 +57,22 @@ func (w *Window) Edges() []Edge {
 		out = append(out, w.buf[(w.head+i)%len(w.buf)])
 	}
 	return out
+}
+
+// WindowEvents turns an arrival stream into the event stream of a sliding
+// window of the given capacity (>= 1): each arrival, followed — once the
+// window is full — by the deletion of the arrival it slides out. Replaying
+// the events through a maintainer leaves the graph holding exactly the last
+// min(capacity, len(stream)) arrivals on top of what it held before, and no
+// deletion precedes the arrival it deletes.
+func WindowEvents(stream []Edge, capacity int) []Event {
+	win := NewWindow(capacity)
+	events := make([]Event, 0, 2*len(stream)-min(capacity, len(stream)))
+	for _, e := range stream {
+		events = append(events, Event{Edge: e})
+		if old, ok := win.Push(e); ok {
+			events = append(events, Event{Edge: old, Del: true})
+		}
+	}
+	return events
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 )
@@ -66,5 +67,77 @@ func TestWindowCapacityOne(t *testing.T) {
 	old, ev := w.Push(Edge{From: 2, To: 3})
 	if !ev || old != (Edge{From: 1, To: 2}) {
 		t.Fatalf("second push expired %v evicted=%v", old, ev)
+	}
+}
+
+// replayWindow applies events to an empty graph over n nodes, failing the
+// test at the first deletion of an edge the graph does not hold — that is, a
+// deletion that precedes its arrival.
+func replayWindow(t *testing.T, n int, events []Event) *Graph {
+	t.Helper()
+	g := New(n)
+	for i, ev := range events {
+		if !ev.Del {
+			g.AddEdge(ev.Edge.From, ev.Edge.To)
+			continue
+		}
+		if !g.RemoveEdge(ev.Edge.From, ev.Edge.To) {
+			t.Fatalf("event %d deletes %v before its arrival", i, ev.Edge)
+		}
+	}
+	return g
+}
+
+func windowStream(n, m int) []Edge {
+	rng := rand.New(rand.NewPCG(3, 4))
+	stream := make([]Edge, m)
+	for i := range stream {
+		// A small node space, so the stream repeats edges and the window
+		// holds multi-edges.
+		stream[i] = Edge{From: NodeID(rng.IntN(n)), To: NodeID(rng.IntN(n))}
+	}
+	return stream
+}
+
+// TestWindowEventsHoldsExactlyTheWindow replays a window's events: the graph
+// must hold exactly the last capacity arrivals, as a multiset, and every
+// arrival must precede its own deletion.
+func TestWindowEventsHoldsExactlyTheWindow(t *testing.T) {
+	const n, m, capacity = 8, 500, 60
+	stream := windowStream(n, m)
+	events := WindowEvents(stream, capacity)
+	if got, want := len(events), 2*m-capacity; got != want {
+		t.Fatalf("%d events, want %d arrivals and %d expiries", got, m, m-capacity)
+	}
+	g := replayWindow(t, n, events)
+	if got := g.NumEdges(); got != capacity {
+		t.Fatalf("graph holds %d edges, want the window's %d", got, capacity)
+	}
+	want := map[Edge]int{}
+	for _, e := range stream[m-capacity:] {
+		want[e]++
+	}
+	for e, k := range want {
+		if got := g.CountEdges(e.From, e.To); got != k {
+			t.Fatalf("edge %v multiplicity %d, want %d", e, got, k)
+		}
+	}
+}
+
+// TestWindowEventsUnderCapacity checks the no-expiry regime: a stream
+// shorter than the window yields its arrivals and no deletion.
+func TestWindowEventsUnderCapacity(t *testing.T) {
+	stream := windowStream(8, 100)
+	events := WindowEvents(stream, 500)
+	if len(events) != len(stream) {
+		t.Fatalf("%d events for %d arrivals", len(events), len(stream))
+	}
+	for i, ev := range events {
+		if ev.Del || ev.Edge != stream[i] {
+			t.Fatalf("event %d is %+v, want the arrival %v", i, ev, stream[i])
+		}
+	}
+	if got := replayWindow(t, 8, events).NumEdges(); got != len(stream) {
+		t.Fatalf("graph holds %d edges, want all %d streamed", got, len(stream))
 	}
 }

@@ -30,8 +30,7 @@ import (
 //
 // Within one segment the first re-sampled step wins — everything after it is
 // regenerated — so later candidate steps of the same segment are superseded
-// and consume no randomness, in both scan flavors, keeping fixed-seed
-// serialized runs bitwise identical with LegacyScan on and off. There is no
+// and consume no randomness. There is no
 // skip coin: no stored counter tracks steps through one specific edge, so a
 // deletion always scans its O(hits) enumeration and the SlowNoops == 0
 // invariant is untouched by deletions.
@@ -185,53 +184,19 @@ func (m *Maintainer) unroute(u, v graph.NodeID, c, d int, w *updater) {
 	if m.walks.Candidates(u) <= 0 {
 		return // no stored non-terminal visit can step through the edge
 	}
-	ids, hits, held := m.freeze(u, w)
+	hits, held := m.freeze(u, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
-	var rerouted, truncated int64
-	if m.cfg.LegacyScan {
-		rerouted, truncated = m.unrouteScan(ids, u, v, c, d, w)
-	} else {
-		rerouted, truncated = m.unrouteScanIndexed(hits, v, c, d, w)
-	}
+	rerouted, truncated := m.unroutePass(hits, v, c, d, w)
 	m.cnt.delRerouted.Add(rerouted)
 	m.cnt.delTruncated.Add(truncated)
 }
 
-// unrouteScan is the legacy full-path flavor: walk every frozen visitor's
-// path looking for non-terminal steps u -> v, first captured step per
-// segment wins.
-func (m *Maintainer) unrouteScan(ids []walkstore.SegmentID, u, v graph.NodeID, c, d int, w *updater) (rerouted, truncated int64) {
-	inv := 1.0 / float64(c)
-	for _, id := range ids {
-		p := m.walks.Path(id) // stable: ReplaceTail relocates, never mutates
-		pos := -1
-		for i := 0; i < len(p)-1 && pos < 0; i++ {
-			if p[i] != u || p[i+1] != v {
-				continue
-			}
-			if c == 1 || w.rng.Float64() < inv {
-				pos = i
-			}
-		}
-		if pos < 0 {
-			continue
-		}
-		if m.resample(id, pos+1, u, d, w) {
-			rerouted++
-		} else {
-			truncated++
-		}
-	}
-	return rerouted, truncated
-}
-
-// unrouteScanIndexed is unrouteScan over the frozen pending-position hits of
-// u: a hit is a candidate iff it is non-terminal and its next node is v. Hits
-// arrive sorted by (segment, position) — the same enumeration the legacy scan
-// walks — and superseded candidates after a segment's capture consume no
-// randomness in either flavor, so both scans draw the identical coin stream.
-func (m *Maintainer) unrouteScanIndexed(hits []walkstore.PosHit, v graph.NodeID, c, d int, w *updater) (rerouted, truncated int64) {
+// unroutePass walks the frozen hits of u looking for stored steps u -> v,
+// first captured step per segment wins: a hit is a candidate iff it is
+// non-terminal and its next node is v. Superseded candidates after a
+// segment's capture consume no randomness.
+func (m *Maintainer) unroutePass(hits []walkstore.PosHit, v graph.NodeID, c, d int, w *updater) (rerouted, truncated int64) {
 	inv := 1.0 / float64(c)
 	g := 0
 	for i := 0; i < len(hits); {

@@ -276,3 +276,48 @@ func TestChurnFuzz(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowEventsThroughMaintainer runs a sliding window as an event stream
+// (graph.WindowEvents through ApplyEvents) on top of a ring: no expiry may
+// miss, the graph must end with the ring plus exactly the window, the store
+// must validate, and the run must be bitwise the same with LegacyScan and
+// with CompactEvery on or off.
+func TestWindowEventsThroughMaintainer(t *testing.T) {
+	const n, m, capacity = 80, 600, 150
+	run := func(cfg Config) (map[graph.NodeID]float64, Counters, *Maintainer) {
+		cfg.Eps, cfg.R, cfg.Workers, cfg.Seed = 0.2, 3, 1, 21
+		mt, soc := newMaintainer(n, cfg)
+		g := soc.Graph()
+		for i := 0; i < n; i++ {
+			g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n))
+		}
+		mt.Bootstrap()
+		base := g.NumEdges()
+		stream := gen.DirichletStream(n, m, rand.New(rand.NewPCG(22, 0)))
+		mt.ApplyEvents(graph.WindowEvents(stream, capacity))
+		c := mt.Counters()
+		if c.DelMisses != 0 {
+			t.Fatalf("%+v: window expiry missed %d edges it had inserted itself", cfg, c.DelMisses)
+		}
+		if c.Arrivals != m || c.Deletions != m-capacity {
+			t.Fatalf("%+v: %d arrivals and %d deletions, want %d and %d", cfg, c.Arrivals, c.Deletions, m, m-capacity)
+		}
+		if got := g.NumEdges(); got != base+capacity {
+			t.Fatalf("%+v: graph holds %d edges, want %d base + %d windowed", cfg, got, base, capacity)
+		}
+		validateAll(t, mt)
+		return mt.ApproxAll(), c, mt
+	}
+
+	est, cnt, mt := run(Config{})
+	estL, cntL, _ := run(Config{LegacyScan: true})
+	requireRunsEqual(t, "window: indexed vs legacy scan", est, estL, cnt, cntL)
+	estC, cntC, mtC := run(Config{CompactEvery: 5})
+	requireRunsEqual(t, "window: CompactEvery=5 vs off", est, estC, cnt, cntC)
+	// The compacting run reclaimed the churn a 4x-overcapacity stream leaves.
+	_, total := mt.Store().ArenaStats()
+	_, totalC := mtC.Store().ArenaStats()
+	if totalC >= total {
+		t.Fatalf("compacting run's arena (%d) not smaller than baseline (%d)", totalC, total)
+	}
+}

@@ -22,20 +22,21 @@
 // and every non-skipped arrival performs real work — the argument is
 // docs/DESIGN.md#3-the-lossless-wv-fast-path.
 //
-// On heads, the repair scan enumerates its candidates from the walk
+// On heads, the repair pass enumerates its candidates from the walk
 // store's pending-position index — the exact (segment, position) pairs of
-// stored visits at the source, in the same ascending order the pre-index
-// full-path scan produced — so a slow path costs O(hits) rather than
-// O(visitors × path length); Config.LegacyScan keeps the old enumeration
-// alive for the bitwise-equivalence test and benchmarks
-// (docs/DESIGN.md#7-the-pending-position-index).
+// stored visits at the source, in ascending order — so a slow path costs
+// O(hits) rather than O(visitors × path length). Config.LegacyScan swaps
+// that one candidate source for a full-path scan of the source's visitors
+// (walkstore.Store.AppendScannedPositions), which returns the same hits to
+// the same repair kernels; it exists for the bitwise-equivalence test and
+// benchmarks (docs/DESIGN.md#7-the-pending-position-index).
 //
 // Updates run serialized by default (bitwise reproducible per seed) or
 // concurrently with Config.UpdateWorkers > 1: arrivals are serialized per
 // source stripe (out-degree only moves on arrivals from that source, so the
 // degree read stays exact), the affected segments are frozen under
-// SegmentID stripe locks before each repair scan (the index re-read under
-// the freeze keeps every hit position exact), and the scan retries against
+// SegmentID stripe locks before each repair pass (the re-read under the
+// freeze keeps every hit position exact), and the pass retries against
 // the frozen enumeration if cross-stripe interference moved the candidate
 // count — so SlowNoops == 0 survives parallelism, at the documented price
 // of per-seed reproducibility relaxing to distributional equivalence. Lock
@@ -49,9 +50,11 @@
 // out-edge with no reset coin, and regrows the tail on the post-removal
 // graph — or truncates when the last out-edge vanished, the revival law
 // run in reverse. Deletions carry no skip coin, enumerate their candidates
-// O(hits) from the pending-position index (LegacyScan keeps the full-path
-// flavor bitwise coin-identical), and leave the arrival-path invariants
-// (SlowNoops == 0) untouched — see docs/DESIGN.md#10-deletions--windows.
+// O(hits) from the same candidate source as arrivals, and leave the
+// arrival-path invariants (SlowNoops == 0) untouched. A sliding window is
+// just an event stream: graph.WindowEvents turns arrivals into arrivals
+// plus the expiries they force, fed through ApplyEvents — see
+// docs/DESIGN.md#10-deletions--windows.
 //
 // All graph access on the update path — the edge write, the degree lookup,
 // and every step of regenerated walk tails — is routed through

@@ -3,7 +3,6 @@ package pagerank
 import (
 	"math"
 	"math/rand/v2"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -41,14 +40,14 @@ type Config struct {
 	// are drawn from the same distribution either way; the flag exists so
 	// tests and benchmarks can demonstrate that.
 	DisableFastPath bool
-	// LegacyScan makes repair phases enumerate candidates the pre-index way:
-	// fetch every visitor of the arrival's source and walk its full path.
-	// The default consumes the store's pending-position index instead —
-	// O(hits) per phase rather than O(visitors × path length). Both paths
-	// enumerate candidates in the identical (segment, position) order and
-	// consume the RNG identically, so a fixed-seed serialized run is bitwise
-	// the same either way; the flag exists for benchmarks and the
-	// equivalence test, not for production use.
+	// LegacyScan swaps the candidate source of every repair phase: freeze
+	// reads the (segment, position) hits by scanning the full path of every
+	// visitor of the arrival's source (Store.AppendScannedPositions) instead
+	// of reading the store's pending-position index — O(visitors × path
+	// length) per phase rather than O(hits). Both sources return the same
+	// sorted hits and the repair kernels are shared, so a fixed-seed
+	// serialized run is bitwise the same either way; the flag exists for
+	// benchmarks and the equivalence test, not for production use.
 	LegacyScan bool
 	// CompactEvery, when positive, checks the arena every CompactEvery-th
 	// completed mutation (arrival or deletion) and runs Store.Compact when
@@ -408,16 +407,11 @@ func (m *Maintainer) reroute(u, v graph.NodeID, d int, w *updater) {
 		}
 		first = stats.TruncatedGeometric(w.rng, inv, k)
 	}
-	ids, hits, held := m.freeze(u, w)
+	hits, held := m.freeze(u, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
 	for {
-		var rerouted, seen int64
-		if m.cfg.LegacyScan {
-			rerouted, seen = m.rerouteScan(ids, u, v, inv, first, w)
-		} else {
-			rerouted, seen = m.rerouteScanIndexed(hits, v, inv, first, w)
-		}
+		rerouted, seen := m.reroutePass(hits, v, inv, first, w)
 		switch {
 		case rerouted > 0:
 			m.cnt.slowPaths.Add(1)
@@ -436,31 +430,31 @@ func (m *Maintainer) reroute(u, v graph.NodeID, d int, w *updater) {
 }
 
 // freeze prepares one repair phase's enumeration over u's stored visits: it
-// reads the candidate source (the pending-position index by default, the
-// full visitor set with LegacyScan), locks the involved segments under the
-// SegmentID stripes, and — on the parallel path — re-reads the index under
+// reads the candidate source, locks the involved segments under the
+// SegmentID stripes, and — on the parallel path — re-reads the source under
 // those locks so every hit position is exact, dropping hits of segments
 // another worker rerouted into u after the probe (they are simply not part
-// of this arrival's frozen enumeration, exactly like a segment missing from
-// the pre-index frozen visitor set). Exactly one of ids/hits is non-nil.
-func (m *Maintainer) freeze(u graph.NodeID, w *updater) (ids []walkstore.SegmentID, hits []walkstore.PosHit, held []int) {
+// of this arrival's frozen enumeration). The source is the pending-position
+// index, or with LegacyScan the full-path scan of u's visitors; both return
+// the same sorted hits, so this is the only place the flag acts.
+func (m *Maintainer) freeze(u graph.NodeID, w *updater) (hits []walkstore.PosHit, held []int) {
+	positions := m.walks.AppendPendingPositions
 	if m.cfg.LegacyScan {
-		ids = sortedVisitors(m.walks, u)
-		return ids, nil, w.lockSegments(m.segMu, ids)
+		positions = m.walks.AppendScannedPositions
 	}
-	w.hits = m.walks.AppendPendingPositions(w.hits[:0], u, walkstore.Unsided)
+	w.hits = positions(w.hits, u, walkstore.Unsided)
 	w.segs = walkstore.DistinctSegments(w.segs, w.hits)
 	held = w.lockSegments(m.segMu, w.segs)
 	if m.cfg.UpdateWorkers > 1 {
 		// Another worker may have mutated a probed segment between the probe
 		// and the freeze; re-read now that the segments cannot move.
-		w.hits = m.walks.AppendPendingPositions(w.hits[:0], u, walkstore.Unsided)
+		w.hits = positions(w.hits, u, walkstore.Unsided)
 		w.hits = walkstore.KeepSegments(w.hits, w.segs)
 	}
 	// Bulk-fetch the frozen segments' paths under one segment-lock
-	// acquisition; the scans walk them via a cursor over w.segs.
+	// acquisition; the passes walk them via a cursor over w.segs.
 	w.paths = m.walks.AppendPaths(w.paths, w.segs)
-	return nil, w.hits, held
+	return w.hits, held
 }
 
 // groupPath returns the frozen path of segment id, advancing the scan's
@@ -473,46 +467,13 @@ func groupPath(w *updater, g *int, id walkstore.SegmentID) []graph.NodeID {
 	return w.paths[*g]
 }
 
-// rerouteScan runs one coin-flip pass over the frozen segments, returning
-// the number of reroutes performed and candidates enumerated.
-func (m *Maintainer) rerouteScan(ids []walkstore.SegmentID, u, v graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
-	idx := int64(0)
-	for _, id := range ids {
-		p := m.walks.Path(id) // stable: ReplaceTail relocates, never mutates
-		pos := -1
-		for i := 0; i < len(p)-1 && pos < 0; i++ {
-			if p[i] != u {
-				continue
-			}
-			if stats.FirstSuccessHit(w.rng, first, idx, inv) {
-				pos = i
-			}
-			idx++
-		}
-		if pos < 0 {
-			continue
-		}
-		// The segment's remaining candidates are superseded by the reroute,
-		// but they still occupy slots in the enumeration `first` was drawn
-		// over.
-		for i := pos + 1; i < len(p)-1; i++ {
-			if p[i] == u {
-				idx++
-			}
-		}
-		m.redirect(id, pos+1, v, w)
-		rerouted++
-	}
-	return rerouted, idx
-}
-
-// rerouteScanIndexed runs one coin-flip pass over the frozen pending-position
-// hits of the arrival's source. Hits arrive sorted by (segment, position) —
-// the same enumeration order the legacy full-path scan produces — so the
-// pre-sampled first-switch index means the same candidate under either scan.
-// Only the non-terminal hits are candidates; a segment's hits after its own
-// reroute this pass are superseded but keep their enumeration slots.
-func (m *Maintainer) rerouteScanIndexed(hits []walkstore.PosHit, v graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
+// reroutePass runs one coin-flip pass over the frozen hits of the arrival's
+// source, returning the number of reroutes performed and candidates
+// enumerated. Hits arrive sorted by (segment, position), the fixed
+// enumeration the pre-sampled first-switch index is drawn over. Only the
+// non-terminal hits are candidates; a segment's hits after its own reroute
+// this pass are superseded but keep their enumeration slots.
+func (m *Maintainer) reroutePass(hits []walkstore.PosHit, v graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
 	idx := int64(0)
 	g := 0
 	for i := 0; i < len(hits); {
@@ -567,16 +528,11 @@ func (m *Maintainer) revive(u, v graph.NodeID, w *updater) {
 		}
 		first = stats.TruncatedGeometric(w.rng, 1-eps, t)
 	}
-	ids, hits, held := m.freeze(u, w)
+	hits, held := m.freeze(u, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
 	for {
-		var revived, seen int64
-		if m.cfg.LegacyScan {
-			revived, seen = m.reviveScan(ids, u, v, eps, first, w)
-		} else {
-			revived, seen = m.reviveScanIndexed(hits, v, eps, first, w)
-		}
+		revived, seen := m.revivePass(hits, v, eps, first, w)
 		switch {
 		case revived > 0:
 			m.cnt.slowPaths.Add(1)
@@ -594,31 +550,11 @@ func (m *Maintainer) revive(u, v graph.NodeID, w *updater) {
 	}
 }
 
-// reviveScan runs one continuation pass over the frozen segments, returning
-// the number of revivals performed and terminals enumerated.
-func (m *Maintainer) reviveScan(ids []walkstore.SegmentID, u, v graph.NodeID, eps float64, first int64, w *updater) (revived, seen int64) {
-	idx := int64(0)
-	for _, id := range ids {
-		p := m.walks.Path(id)
-		if p[len(p)-1] != u {
-			continue // not a terminal visit; impossible while u was dangling
-		}
-		cont := stats.FirstSuccessHit(w.rng, first, idx, 1-eps)
-		idx++
-		if !cont {
-			continue
-		}
-		m.redirect(id, len(p), v, w)
-		revived++
-	}
-	return revived, idx
-}
-
-// reviveScanIndexed is reviveScan over frozen pending-position hits: the
-// terminal hit of each segment (position == last path index) is the revival
-// candidate, enumerated in the same ascending-segment order as the legacy
-// visitor scan.
-func (m *Maintainer) reviveScanIndexed(hits []walkstore.PosHit, v graph.NodeID, eps float64, first int64, w *updater) (revived, seen int64) {
+// revivePass runs one continuation pass over the frozen hits, returning the
+// number of revivals performed and terminals enumerated: the terminal hit of
+// each segment (position == last path index) is the revival candidate,
+// enumerated in ascending segment order.
+func (m *Maintainer) revivePass(hits []walkstore.PosHit, v graph.NodeID, eps float64, first int64, w *updater) (revived, seen int64) {
 	idx := int64(0)
 	g := 0
 	for i := 0; i < len(hits); {
@@ -738,16 +674,6 @@ func (m *Maintainer) ensureNode(v graph.NodeID, w *updater) {
 	}
 	m.walks.AddBatch(paths)
 	m.cnt.seeded.Add(int64(len(paths)))
-}
-
-// sortedVisitors returns the segments visiting u in ascending ID order,
-// making a fixed-seed serialized run reproducible regardless of the visitor
-// set's internal representation — and giving every worker one canonical
-// enumeration order to draw first-switch indices over.
-func sortedVisitors(walks *walkstore.Store, u graph.NodeID) []walkstore.SegmentID {
-	ids := walks.Visitors(u)
-	slices.Sort(ids)
-	return ids
 }
 
 // Estimate returns the PageRank estimate of v: X_v / TotalVisits, the

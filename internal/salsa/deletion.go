@@ -32,8 +32,7 @@ import (
 // (they were sampled on the post-removal graph), reusing the arrival path's
 // touched-set mechanism. As on the arrival path, within one segment and one
 // phase the first captured step wins and later candidates consume no
-// randomness, so fixed-seed serialized runs are bitwise identical with
-// LegacyScan on and off. Deletions have no skip coin and leave the arrival
+// randomness. Deletions have no skip coin and leave the arrival
 // counters (and SlowNoops == 0) untouched.
 
 // ApplyDeletion consumes one edge deletion: it removes one copy of the edge
@@ -200,52 +199,20 @@ func (m *Maintainer) unrouteForward(u, v graph.NodeID, c, d int, w *updater) {
 	if m.walks.PendingCandidates(u, walkstore.SideForward) <= 0 {
 		return
 	}
-	ids, hits, held := m.freeze(u, walkstore.SideForward, w)
+	hits, held := m.freeze(u, walkstore.SideForward, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
-	var rerouted, truncated int64
-	if m.cfg.LegacyScan {
-		rerouted, truncated = m.unrouteForwardScan(ids, u, v, c, d, w)
-	} else {
-		rerouted, truncated = m.unrouteForwardScanIndexed(hits, u, v, c, d, w)
-	}
+	rerouted, truncated := m.unrouteForwardPass(hits, u, v, c, d, w)
 	m.cnt.delRerouted.Add(rerouted)
 	m.cnt.delTruncated.Add(truncated)
 }
 
-func (m *Maintainer) unrouteForwardScan(ids []walkstore.SegmentID, u, v graph.NodeID, c, d int, w *updater) (rerouted, truncated int64) {
-	inv := 1.0 / float64(c)
-	for _, id := range ids {
-		side := m.walks.SideOf(id)
-		p := m.walks.Path(id) // stable: ReplaceTail relocates, never mutates
-		pos := -1
-		for i := 0; i < len(p)-1 && pos < 0; i++ {
-			if p[i] != u || p[i+1] != v || side.PendingAt(i) != walkstore.SideForward {
-				continue
-			}
-			if c == 1 || w.rng.Float64() < inv {
-				pos = i
-			}
-		}
-		if pos < 0 {
-			continue
-		}
-		if m.resampleForward(id, pos+1, u, d, w) {
-			rerouted++
-		} else {
-			truncated++
-		}
-	}
-	return rerouted, truncated
-}
-
-// unrouteForwardScanIndexed is unrouteForwardScan over the frozen
-// forward-pending hits of u: a hit is a candidate iff it is non-terminal and
-// its next node is v (the index already guarantees node and parity). Both
-// flavors enumerate the identical (segment, position) order and draw the
-// identical coin stream; superseded candidates after a capture consume no
-// randomness.
-func (m *Maintainer) unrouteForwardScanIndexed(hits []walkstore.PosHit, u, v graph.NodeID, c, d int, w *updater) (rerouted, truncated int64) {
+// unrouteForwardPass walks the frozen forward-pending hits of u looking for
+// stored forward steps u -> v, first captured step per segment wins: a hit
+// is a candidate iff it is non-terminal and its next node is v (the source
+// already guarantees node and parity). Superseded candidates after a
+// capture consume no randomness.
+func (m *Maintainer) unrouteForwardPass(hits []walkstore.PosHit, u, v graph.NodeID, c, d int, w *updater) (rerouted, truncated int64) {
 	inv := 1.0 / float64(c)
 	g := 0
 	for i := 0; i < len(hits); {
@@ -287,50 +254,18 @@ func (m *Maintainer) unrouteBackward(v, u graph.NodeID, c, d int, w *updater) {
 	if m.walks.PendingCandidates(v, walkstore.SideBackward) <= 0 {
 		return
 	}
-	ids, hits, held := m.freeze(v, walkstore.SideBackward, w)
+	hits, held := m.freeze(v, walkstore.SideBackward, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
-	var rerouted, truncated int64
-	if m.cfg.LegacyScan {
-		rerouted, truncated = m.unrouteBackwardScan(ids, v, u, c, d, w)
-	} else {
-		rerouted, truncated = m.unrouteBackwardScanIndexed(hits, v, u, c, d, w)
-	}
+	rerouted, truncated := m.unrouteBackwardPass(hits, v, u, c, d, w)
 	m.cnt.delRerouted.Add(rerouted)
 	m.cnt.delTruncated.Add(truncated)
 }
 
-func (m *Maintainer) unrouteBackwardScan(ids []walkstore.SegmentID, v, u graph.NodeID, c, d int, w *updater) (rerouted, truncated int64) {
-	inv := 1.0 / float64(c)
-	for _, id := range ids {
-		side := m.walks.SideOf(id)
-		p := m.walks.Path(id)
-		end := len(p) - 1 // candidates are non-terminal visits
-		if keep, ok := w.touched.get(id); ok && keep < end {
-			end = keep // positions >= keep are fresh
-		}
-		pos := -1
-		for i := 0; i < end && pos < 0; i++ {
-			if p[i] != v || p[i+1] != u || side.PendingAt(i) != walkstore.SideBackward {
-				continue
-			}
-			if c == 1 || w.rng.Float64() < inv {
-				pos = i
-			}
-		}
-		if pos < 0 {
-			continue
-		}
-		if m.resampleBackward(id, pos+1, v, d, w) {
-			rerouted++
-		} else {
-			truncated++
-		}
-	}
-	return rerouted, truncated
-}
-
-func (m *Maintainer) unrouteBackwardScanIndexed(hits []walkstore.PosHit, v, u graph.NodeID, c, d int, w *updater) (rerouted, truncated int64) {
+// unrouteBackwardPass is unrouteForwardPass's mirror over the frozen
+// backward-pending hits of v: candidates are stored backward steps v -> u,
+// excluding positions the forward phase regenerated this deletion.
+func (m *Maintainer) unrouteBackwardPass(hits []walkstore.PosHit, v, u graph.NodeID, c, d int, w *updater) (rerouted, truncated int64) {
 	inv := 1.0 / float64(c)
 	g := 0
 	for i := 0; i < len(hits); {

@@ -44,9 +44,11 @@
 // pending-position index (one (segment, position) hit per stored step of
 // the phase's direction at the endpoint, in the canonical ascending order
 // first-switch indices are drawn over), so a slow path costs O(hits)
-// instead of walking every visitor's full path; Config.LegacyScan keeps the
-// pre-index full-path enumeration alive for the bitwise-equivalence test
-// and the benchmark comparison — see
+// instead of walking every visitor's full path. Config.LegacyScan swaps
+// that one candidate source for the full-path scan
+// (walkstore.Store.AppendScannedPositions), which feeds the same hits to
+// the same repair kernels; it exists for the bitwise-equivalence test and
+// the benchmark comparison — see
 // docs/DESIGN.md#7-the-pending-position-index.
 //
 // Updates run serialized by default or concurrently with
@@ -54,8 +56,8 @@
 // stripe pair in index order — out-degree moves only on arrivals from the
 // source and in-degree only on arrivals to the target, so both degree reads
 // stay exact — and each repair phase freezes its segments under SegmentID
-// stripe locks (re-reading the index under the freeze so every hit is
-// exact), retrying against the frozen enumeration when cross-stripe
+// stripe locks (re-reading the candidate source under the freeze so every
+// hit is exact), retrying against the frozen enumeration when cross-stripe
 // interference moved a counter. Per-seed reproducibility relaxes to
 // distributional equivalence, argued in
 // docs/DESIGN.md#6-concurrency-model.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,15 +45,16 @@ type Config struct {
 	// affected segments and flips per-step coins unconditionally. Estimates
 	// are drawn from the same distribution either way.
 	DisableFastPath bool
-	// LegacyScan makes the four repair phases enumerate candidates the
-	// pre-index way: fetch every visitor of the phase's endpoint and walk
-	// each full path, filtering by side and parity. The default consumes the
-	// store's pending-position index — O(hits) per phase instead of
-	// O(visitors × path length), which is the difference between the SALSA
-	// storm and the pagerank storm's throughput. Both paths enumerate the
-	// identical (segment, position) order and consume the RNG identically,
-	// so a fixed-seed serialized run is bitwise the same either way; the
-	// flag exists for benchmarks and the equivalence test.
+	// LegacyScan swaps the candidate source of every repair phase: freeze
+	// reads the (segment, position) hits by scanning the full path of every
+	// visitor of the phase's endpoint and filtering by side and parity
+	// (Store.AppendScannedPositions) instead of reading the store's
+	// pending-position index — O(visitors × path length) per phase instead
+	// of O(hits), which is the difference between the SALSA storm and the
+	// pagerank storm's throughput. Both sources return the same sorted hits
+	// and the repair kernels are shared, so a fixed-seed serialized run is
+	// bitwise the same either way; the flag exists for benchmarks and the
+	// equivalence test.
 	LegacyScan bool
 	// CompactEvery, when positive, checks the arena every CompactEvery-th
 	// completed mutation (arrival or deletion) and runs Store.Compact when
@@ -512,32 +512,32 @@ func (m *Maintainer) applyOne(ed graph.Edge, w *updater) {
 }
 
 // freeze prepares one repair phase's candidate enumeration at node n for
-// pending direction dir: it reads the candidate source (the sided
-// pending-position index by default, the full visitor set with LegacyScan),
-// locks the involved segments under the SegmentID stripes, and — on the
-// parallel path — re-reads the index under those locks so every hit position
-// is exact, dropping hits of segments another worker mutated into n after
-// the probe (they are simply not part of this arrival's frozen enumeration,
-// exactly like a segment missing from the pre-index frozen visitor set).
-// Exactly one of ids/hits is non-nil.
-func (m *Maintainer) freeze(n graph.NodeID, dir walkstore.Side, w *updater) (ids []walkstore.SegmentID, hits []walkstore.PosHit, held []int) {
+// pending direction dir: it reads the candidate source, locks the involved
+// segments under the SegmentID stripes, and — on the parallel path —
+// re-reads the source under those locks so every hit position is exact,
+// dropping hits of segments another worker mutated into n after the probe
+// (they are simply not part of this arrival's frozen enumeration). The
+// source is the sided pending-position index, or with LegacyScan the
+// full-path scan of n's visitors; both return the same sorted hits, so this
+// is the only place the flag acts.
+func (m *Maintainer) freeze(n graph.NodeID, dir walkstore.Side, w *updater) (hits []walkstore.PosHit, held []int) {
+	positions := m.walks.AppendPendingPositions
 	if m.cfg.LegacyScan {
-		ids = sortedVisitors(m.walks, n)
-		return ids, nil, w.lockSegments(m.segMu, ids)
+		positions = m.walks.AppendScannedPositions
 	}
-	w.hits = m.walks.AppendPendingPositions(w.hits[:0], n, dir)
+	w.hits = positions(w.hits, n, dir)
 	w.segs = walkstore.DistinctSegments(w.segs, w.hits)
 	held = w.lockSegments(m.segMu, w.segs)
 	if m.cfg.UpdateWorkers > 1 {
 		// Another worker may have mutated a probed segment between the probe
 		// and the freeze; re-read now that the segments cannot move.
-		w.hits = m.walks.AppendPendingPositions(w.hits[:0], n, dir)
+		w.hits = positions(w.hits, n, dir)
 		w.hits = walkstore.KeepSegments(w.hits, w.segs)
 	}
 	// Bulk-fetch the frozen segments' paths under one segment-lock
-	// acquisition; the scans walk them via a cursor over w.segs.
+	// acquisition; the passes walk them via a cursor over w.segs.
 	w.paths = m.walks.AppendPaths(w.paths, w.segs)
-	return nil, w.hits, held
+	return w.hits, held
 }
 
 // groupPath returns the frozen path of segment id, advancing the scan's
@@ -578,16 +578,11 @@ func (m *Maintainer) rerouteForward(u, v graph.NodeID, d int, w *updater) {
 		}
 		first = stats.TruncatedGeometric(w.rng, inv, k)
 	}
-	ids, hits, held := m.freeze(u, walkstore.SideForward, w)
+	hits, held := m.freeze(u, walkstore.SideForward, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
 	for {
-		var rerouted, seen int64
-		if m.cfg.LegacyScan {
-			rerouted, seen = m.forwardScan(ids, u, v, inv, first, w)
-		} else {
-			rerouted, seen = m.forwardScanIndexed(hits, v, inv, first, w)
-		}
+		rerouted, seen := m.forwardPass(hits, v, inv, first, w)
 		switch {
 		case rerouted > 0:
 			m.cnt.slowPaths.Add(1)
@@ -605,49 +600,14 @@ func (m *Maintainer) rerouteForward(u, v graph.NodeID, d int, w *updater) {
 	}
 }
 
-// forwardScan runs one coin-flip pass over the frozen segments' forward
-// steps from u, returning reroutes performed and candidates enumerated.
-func (m *Maintainer) forwardScan(ids []walkstore.SegmentID, u, v graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
-	idx := int64(0)
-	for _, id := range ids {
-		side := m.walks.SideOf(id)
-		p := m.walks.Path(id) // stable: ReplaceTail relocates, never mutates
-		pos := -1
-		for i := 0; i < len(p)-1 && pos < 0; i++ {
-			if p[i] != u || side.PendingAt(i) != walkstore.SideForward {
-				continue
-			}
-			if stats.FirstSuccessHit(w.rng, first, idx, inv) {
-				pos = i
-			}
-			idx++
-		}
-		if pos < 0 {
-			continue
-		}
-		// The segment's remaining candidates are superseded by the reroute,
-		// but they still occupy slots in the enumeration `first` was drawn
-		// over.
-		for i := pos + 1; i < len(p)-1; i++ {
-			if p[i] == u && side.PendingAt(i) == walkstore.SideForward {
-				idx++
-			}
-		}
-		m.redirect(id, pos+1, v, walk.Backward, w)
-		w.touched.set(id, pos+1)
-		rerouted++
-	}
-	return rerouted, idx
-}
-
-// forwardScanIndexed runs the forward-phase coin pass over the frozen
-// forward-pending position hits of u: every non-terminal hit is one stored
-// forward step (the index guarantees node and parity), enumerated in the
-// same (segment, position) order as the legacy full-path scan, so the
-// pre-sampled first-switch index means the same candidate under either scan.
-// A segment's hits after its own reroute this pass are superseded but keep
-// their enumeration slots.
-func (m *Maintainer) forwardScanIndexed(hits []walkstore.PosHit, v graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
+// forwardPass runs the forward-phase coin pass over the frozen
+// forward-pending position hits of u, returning reroutes performed and
+// candidates enumerated: every non-terminal hit is one stored forward step
+// (the source guarantees node and parity), enumerated in (segment,
+// position) order, the fixed enumeration the pre-sampled first-switch index
+// is drawn over. A segment's hits after its own reroute this pass are
+// superseded but keep their enumeration slots.
+func (m *Maintainer) forwardPass(hits []walkstore.PosHit, v graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
 	idx := int64(0)
 	g := 0
 	for i := 0; i < len(hits); {
@@ -703,16 +663,11 @@ func (m *Maintainer) reviveForward(u, v graph.NodeID, w *updater) {
 		}
 		first = stats.TruncatedGeometric(w.rng, 1-eps, t)
 	}
-	ids, hits, held := m.freeze(u, walkstore.SideForward, w)
+	hits, held := m.freeze(u, walkstore.SideForward, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
 	for {
-		var revived, seen int64
-		if m.cfg.LegacyScan {
-			revived, seen = m.reviveForwardScan(ids, u, v, eps, first, w)
-		} else {
-			revived, seen = m.reviveForwardScanIndexed(hits, v, eps, first, w)
-		}
+		revived, seen := m.reviveForwardPass(hits, v, eps, first, w)
 		switch {
 		case revived > 0:
 			m.cnt.slowPaths.Add(1)
@@ -730,32 +685,11 @@ func (m *Maintainer) reviveForward(u, v graph.NodeID, w *updater) {
 	}
 }
 
-func (m *Maintainer) reviveForwardScan(ids []walkstore.SegmentID, u, v graph.NodeID, eps float64, first int64, w *updater) (revived, seen int64) {
-	idx := int64(0)
-	for _, id := range ids {
-		side := m.walks.SideOf(id)
-		p := m.walks.Path(id)
-		last := len(p) - 1
-		if p[last] != u || side.PendingAt(last) != walkstore.SideForward {
-			continue
-		}
-		cont := stats.FirstSuccessHit(w.rng, first, idx, 1-eps)
-		idx++
-		if !cont {
-			continue
-		}
-		m.redirect(id, len(p), v, walk.Backward, w)
-		w.touched.set(id, len(p))
-		revived++
-	}
-	return revived, idx
-}
-
-// reviveForwardScanIndexed is reviveForwardScan over frozen forward-pending
-// hits: the revival candidates are exactly the terminal hits (position ==
-// last path index), enumerated in ascending-segment order like the legacy
-// visitor scan.
-func (m *Maintainer) reviveForwardScanIndexed(hits []walkstore.PosHit, v graph.NodeID, eps float64, first int64, w *updater) (revived, seen int64) {
+// reviveForwardPass runs one continuation pass over frozen forward-pending
+// hits, returning revivals performed and terminals enumerated: the revival
+// candidates are exactly the terminal hits (position == last path index),
+// enumerated in ascending segment order.
+func (m *Maintainer) reviveForwardPass(hits []walkstore.PosHit, v graph.NodeID, eps float64, first int64, w *updater) (revived, seen int64) {
 	idx := int64(0)
 	g := 0
 	for i := 0; i < len(hits); {
@@ -809,16 +743,11 @@ func (m *Maintainer) rerouteBackward(v, u graph.NodeID, d int, w *updater) {
 		}
 		first = stats.TruncatedGeometric(w.rng, inv, k)
 	}
-	ids, hits, held := m.freeze(v, walkstore.SideBackward, w)
+	hits, held := m.freeze(v, walkstore.SideBackward, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
 	for {
-		var rerouted, seen int64
-		if m.cfg.LegacyScan {
-			rerouted, seen = m.backwardScan(ids, v, u, inv, first, w)
-		} else {
-			rerouted, seen = m.backwardScanIndexed(hits, u, inv, first, w)
-		}
+		rerouted, seen := m.backwardPass(hits, u, inv, first, w)
 		switch {
 		case rerouted > 0:
 			m.cnt.slowPaths.Add(1)
@@ -836,44 +765,11 @@ func (m *Maintainer) rerouteBackward(v, u graph.NodeID, d int, w *updater) {
 	}
 }
 
-func (m *Maintainer) backwardScan(ids []walkstore.SegmentID, v, u graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
-	idx := int64(0)
-	for _, id := range ids {
-		side := m.walks.SideOf(id)
-		p := m.walks.Path(id)
-		end := len(p) - 1 // candidates are non-terminal visits
-		if keep, ok := w.touched.get(id); ok && keep < end {
-			end = keep // positions >= keep are fresh
-		}
-		pos := -1
-		for i := 0; i < end && pos < 0; i++ {
-			if p[i] != v || side.PendingAt(i) != walkstore.SideBackward {
-				continue
-			}
-			if stats.FirstSuccessHit(w.rng, first, idx, inv) {
-				pos = i
-			}
-			idx++
-		}
-		if pos < 0 {
-			continue
-		}
-		for i := pos + 1; i < end; i++ {
-			if p[i] == v && side.PendingAt(i) == walkstore.SideBackward {
-				idx++
-			}
-		}
-		m.redirect(id, pos+1, u, walk.Forward, w)
-		rerouted++
-	}
-	return rerouted, idx
-}
-
-// backwardScanIndexed runs the backward-phase coin pass over the frozen
+// backwardPass runs the backward-phase coin pass over the frozen
 // backward-pending hits of v, excluding terminal hits and — for segments the
 // forward phase just regenerated — hits at or beyond the first fresh
 // position (those steps were sampled on the new graph).
-func (m *Maintainer) backwardScanIndexed(hits []walkstore.PosHit, u graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
+func (m *Maintainer) backwardPass(hits []walkstore.PosHit, u graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
 	idx := int64(0)
 	g := 0
 	for i := 0; i < len(hits); {
@@ -925,46 +821,30 @@ func (m *Maintainer) reviveBackward(v, u graph.NodeID, w *updater) {
 		m.cnt.emptySkips.Add(1)
 		return
 	}
-	ids, hits, held := m.freeze(v, walkstore.SideBackward, w)
+	hits, held := m.freeze(v, walkstore.SideBackward, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
 	revived := int64(0)
-	if m.cfg.LegacyScan {
-		for _, id := range ids {
-			side := m.walks.SideOf(id)
-			p := m.walks.Path(id)
-			last := len(p) - 1
-			if p[last] != v || side.PendingAt(last) != walkstore.SideBackward {
-				continue
-			}
-			// A tail regenerated this arrival cannot end backward-pending at
-			// v (v already has the new in-edge), so this guard is
-			// unreachable; it keeps the phase safe against double-sampling
-			// regardless.
-			if keep, ok := w.touched.get(id); ok && last >= keep {
-				continue
-			}
-			m.redirect(id, len(p), u, walk.Forward, w)
-			revived++
+	g := 0
+	for i := 0; i < len(hits); {
+		id := hits[i].Seg
+		j := i
+		for j < len(hits) && hits[j].Seg == id {
+			j++
 		}
-	} else {
-		g := 0
-		for i := 0; i < len(hits); {
-			id := hits[i].Seg
-			j := i
-			for j < len(hits) && hits[j].Seg == id {
-				j++
+		p := groupPath(w, &g, id)
+		last := len(p) - 1
+		// A tail regenerated this arrival cannot end backward-pending at v
+		// (v already has the new in-edge), so the touched guard is
+		// unreachable; it keeps the phase safe against double-sampling
+		// regardless.
+		if int(hits[j-1].Pos) == last { // terminal hit: backward-pending end at v
+			if keep, ok := w.touched.get(id); !ok || last < keep {
+				m.redirect(id, len(p), u, walk.Forward, w)
+				revived++
 			}
-			p := groupPath(w, &g, id)
-			last := len(p) - 1
-			if int(hits[j-1].Pos) == last { // terminal hit: backward-pending end at v
-				if keep, ok := w.touched.get(id); !ok || last < keep {
-					m.redirect(id, len(p), u, walk.Forward, w)
-					revived++
-				}
-			}
-			i = j
 		}
+		i = j
 	}
 	if revived > 0 {
 		m.cnt.slowPaths.Add(1)
@@ -1074,16 +954,6 @@ func (m *Maintainer) ensureNode(v graph.NodeID, w *updater) {
 	m.walks.AddBatchSided(pathsF, walkstore.SideForward)
 	m.walks.AddBatchSided(pathsB, walkstore.SideBackward)
 	m.cnt.seeded.Add(int64(2 * m.cfg.R))
-}
-
-// sortedVisitors returns the segments visiting u in ascending ID order,
-// making a fixed-seed serialized run reproducible regardless of the visitor
-// set's internal representation, and giving every worker one canonical
-// enumeration order.
-func sortedVisitors(walks *walkstore.Store, u graph.NodeID) []walkstore.SegmentID {
-	ids := walks.Visitors(u)
-	slices.Sort(ids)
-	return ids
 }
 
 // AuthorityEstimate returns v's global authority score: the fraction of all

@@ -28,9 +28,11 @@
 // (AppendPendingPositions), so a repair phase enumerates its candidates in
 // O(hits) instead of walking every visitor's full path, in exactly the
 // candidate order the pre-index scans used (ascending segment, then
-// position — the order first-switch indices are drawn over). The buckets
-// hold one entry per visit and double as the inverted visitor index
-// (Visitors and W derive from them). Every bucket, hub or not, is a sorted
+// position — the order first-switch indices are drawn over).
+// AppendScannedPositions returns the same hits by that full-path scan; the
+// maintainers' LegacyScan reads it instead of the index. The buckets hold
+// one entry per visit and double as the inverted visitor index (Visitors
+// and W derive from them). Every bucket, hub or not, is a sorted
 // sequence of bounded runs of packed seg<<32|pos words: pointer-free, 8
 // bytes per entry, and no update moves more than one run's worth. See
 // docs/DESIGN.md#7-the-pending-position-index for the full argument.
@@ -66,9 +68,9 @@
 // lock acquisition per touched stripe and one atomic-total update per
 // mutation. Reads are freely concurrent; mutations of distinct segments are
 // concurrent-safe, mutations of the same segment must be serialized by the
-// caller (the engine and both maintainers hold SegmentID stripe locks for
-// exactly this). Epoch counts completed mutations — the version stamp the
-// read-mostly query path brackets itself with — and every stripe carries
+// caller (both maintainers hold SegmentID stripe locks for exactly this).
+// Epoch counts completed mutations — the version stamp the read-mostly
+// query path brackets itself with — and every stripe carries
 // its own StripeEpoch, bumped on each mutating acquisition of that
 // stripe's lock, so the serving tier can key cached query results on
 // exactly the stripes a query read (docs/DESIGN.md#9-the-serving-tier)
@@ -107,7 +109,8 @@
 // buckets, epochs, and WAL records to the per-call path; GroupByStripe is
 // the stable counting sort the maintainers' parallel paths use to aim
 // whole arrival slices at one stripe neighborhood. Compact rewrites the
-// live segments into a fresh arena and repoints them in place, reclaiming
+// live segments into a fresh arena (with the same quarter of headroom a
+// Load leaves) and repoints them in place, reclaiming
 // ReplaceTail garbage (measured by ArenaStats) while bumping no epoch, no
 // stripe stamp, and no mutation-log entry — previously handed-out Path
 // slices keep reading the old arena, so the stability contract above is

@@ -74,17 +74,14 @@ func (s *Store) load(batches []Batch, workers int) {
 
 	// Arena phase: size the arena and segment table once and copy the
 	// paths in ID order, journaling each add inside the critical section
-	// as AddBatchSided does. The arena gets the quarter of headroom one
-	// append growth step would leave: without it the first ReplaceTail
-	// after the load copies the whole arena under the segment lock, a
-	// stall of tens of milliseconds at bootstrap scale.
+	// as AddBatchSided does. The arena gets arenaCap's headroom.
 	s.segMu.Lock()
 	if len(s.segs) != 0 {
 		s.segMu.Unlock()
 		panic("walkstore: Load into a store that already holds segments")
 	}
 	s.mutators.Add(1)
-	s.arena = make([]graph.NodeID, 0, numNodes+numNodes/4)
+	s.arena = make([]graph.NodeID, 0, arenaCap(int64(numNodes)))
 	s.segs = make([]segRef, 0, numSegs)
 	for _, b := range batches {
 		off := 0

@@ -300,8 +300,8 @@ func TestValidateCatchesEpochBelowSlots(t *testing.T) {
 }
 
 // TestLoadLeavesArenaHeadroom pins the arena headroom: the first tail
-// rewrite after a load appends in place instead of copying the whole arena
-// under the segment lock.
+// rewrite after a load, and after a compaction, appends in place instead of
+// copying the whole arena under the segment lock.
 func TestLoadLeavesArenaHeadroom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	s := New()
@@ -310,5 +310,18 @@ func TestLoadLeavesArenaHeadroom(t *testing.T) {
 	s.ReplaceTail(0, 1, []graph.NodeID{1, 2, 3})
 	if &s.arena[0] != base {
 		t.Fatal("first ReplaceTail after Load reallocated the arena")
+	}
+
+	// Leave garbage behind, compact it away, and rewrite one tail.
+	for id := SegmentID(0); id < 500; id++ {
+		s.ReplaceTail(id, 1, []graph.NodeID{4, 5})
+	}
+	if _, reclaimed := s.Compact(); reclaimed == 0 {
+		t.Fatal("Compact reclaimed nothing; test setup broken")
+	}
+	base = &s.arena[0]
+	s.ReplaceTail(0, 1, []graph.NodeID{1, 2, 3})
+	if &s.arena[0] != base {
+		t.Fatal("first ReplaceTail after Compact reallocated the arena")
 	}
 }

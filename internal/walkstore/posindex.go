@@ -237,6 +237,35 @@ func (s *Store) AppendPendingPositions(dst []PosHit, v graph.NodeID, dir Side) [
 	return dst
 }
 
+// AppendScannedPositions appends to dst (reset first) the entries
+// AppendPendingPositions returns for (v, dir), found without the index: it
+// takes Visitors(v) and scans each visitor's full path, keeping the
+// positions at v whose pending-direction bucket is dir's. Visitors are
+// ascending and each path is scanned front to back, so the result is
+// sorted by (segment, position) like the index read. It costs
+// O(visitors × path length) where the index costs O(hits); the
+// maintainers' LegacyScan swaps it in as their candidate source, so the
+// index and the full-path scan feed one repair kernel.
+func (s *Store) AppendScannedPositions(dst []PosHit, v graph.NodeID, dir Side) []PosHit {
+	b := bucketOf(dir)
+	dst = dst[:0]
+	ids := s.Visitors(v)
+	s.segMu.RLock()
+	for _, id := range ids {
+		r := s.segs[id]
+		if !r.live {
+			continue // removed since the Visitors read
+		}
+		for pos, x := range s.pathLocked(r) {
+			if x == v && pendingBucket(r.side, pos) == b {
+				dst = append(dst, PosHit{Seg: id, Pos: int32(pos)})
+			}
+		}
+	}
+	s.segMu.RUnlock()
+	return dst
+}
+
 // PendingPositions is AppendPendingPositions into a fresh slice.
 func (s *Store) PendingPositions(v graph.NodeID, dir Side) []PosHit {
 	return s.AppendPendingPositions(nil, v, dir)

@@ -11,7 +11,9 @@ import (
 )
 
 // brutePending recomputes one (node, dir) pending-position bucket from the
-// stored paths: the full-path enumeration the index replaces.
+// stored paths: the full-path enumeration the index replaces. It is the
+// independent reference for both AppendPendingPositions and
+// AppendScannedPositions.
 func brutePending(s *Store, live []SegmentID, v graph.NodeID, dir Side) []PosHit {
 	var want []PosHit
 	ids := append([]SegmentID(nil), live...)
@@ -33,8 +35,9 @@ func brutePending(s *Store, live []SegmentID, v graph.NodeID, dir Side) []PosHit
 // TestPendingPositionsBruteForce drives randomized Add/AddSided/AddBatch/
 // ReplaceTail/Remove churn over a small node space (so buckets grow to
 // dozens of entries and shrink back) and
-// cross-checks every bucket of every touched node against the full-path
-// enumeration after each mutation, with periodic full Validates.
+// cross-checks every bucket of every touched node, read from the index and
+// from the scanned enumerator, against the full-path enumeration after each
+// mutation, with periodic full Validates.
 func TestPendingPositionsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 0))
 	s := New()
@@ -78,10 +81,17 @@ func TestPendingPositionsBruteForce(t *testing.T) {
 		}
 		for v := 0; v < nodeSpace; v++ {
 			for _, dir := range sides {
-				got := s.PendingPositions(graph.NodeID(v), dir)
 				want := brutePending(s, live, graph.NodeID(v), dir)
-				if !slices.Equal(got, want) {
-					t.Fatalf("op %d node %d dir %d:\ngot  %v\nwant %v", op, v, dir, got, want)
+				for _, src := range []struct {
+					name string
+					read func(graph.NodeID, Side) []PosHit
+				}{
+					{"index", s.PendingPositions},
+					{"scan", func(v graph.NodeID, dir Side) []PosHit { return s.AppendScannedPositions(nil, v, dir) }},
+				} {
+					if got := src.read(graph.NodeID(v), dir); !slices.Equal(got, want) {
+						t.Fatalf("op %d node %d dir %d (%s):\ngot  %v\nwant %v", op, v, dir, src.name, got, want)
+					}
 				}
 			}
 		}
@@ -183,8 +193,9 @@ func TestMutationInFlightCounter(t *testing.T) {
 // TestConcurrentIndexReadersAndMutators is the -race stress for the
 // pending-position index: writers churn disjoint sided segment sets (the
 // external per-segment serialization contract) while readers snapshot index
-// buckets and chase the returned hits into Path reads, mimicking the
-// maintainers' probe step racing a parallel storm. Ends in a full Validate
+// buckets — or scan for the same hits with AppendScannedPositions, the
+// LegacyScan source — and chase the returned hits into Path reads,
+// mimicking the maintainers' probe step racing a parallel storm. Ends in a full Validate
 // (including the index cross-check).
 func TestConcurrentIndexReadersAndMutators(t *testing.T) {
 	const (
@@ -237,7 +248,11 @@ func TestConcurrentIndexReadersAndMutators(t *testing.T) {
 				}
 				v := graph.NodeID(rng.IntN(nodeSpace))
 				dir := Side(rng.IntN(2))
-				hits = s.AppendPendingPositions(hits[:0], v, dir)
+				if r == 0 {
+					hits = s.AppendScannedPositions(hits, v, dir)
+				} else {
+					hits = s.AppendPendingPositions(hits, v, dir)
+				}
 				segs = DistinctSegments(segs, hits)
 				for _, id := range segs {
 					if len(s.Path(id)) == 0 {

@@ -247,8 +247,8 @@ var ErrConcurrentMutation = errors.New("walkstore: concurrent mutation during Va
 // Store holds walk segments with an inverted visit index. Reads are safe for
 // arbitrary concurrent use. Mutations of *different* segments are safe
 // concurrently; mutations of the same segment (ReplaceTail/Remove on one ID)
-// must be serialized by the caller — the engine and both maintainers hold
-// SegmentID stripe locks for exactly this. Counter state is sharded into
+// must be serialized by the caller — both maintainers hold SegmentID stripe
+// locks for exactly this. Counter state is sharded into
 // numStripes lock stripes by node, so per-node reads and updates of
 // unrelated nodes do not contend.
 type Store struct {
@@ -871,8 +871,8 @@ func (s *Store) PendingVisitFraction(v graph.NodeID, dir Side) (visits, total in
 // Visitors returns the IDs of segments that visit v, ascending. It is
 // derived from the pending-position buckets (which hold one entry per
 // visit), so it costs a sort over the visit count rather than a table read —
-// acceptable for its remaining callers (the legacy scan path and tests); the
-// hot paths consume AppendPendingPositions directly.
+// acceptable for its remaining callers (AppendScannedPositions, W and
+// tests); the hot paths consume AppendPendingPositions directly.
 func (s *Store) Visitors(v graph.NodeID) []SegmentID {
 	st := s.stripe(v)
 	st.mu.RLock()
@@ -1014,8 +1014,8 @@ func (s *Store) MaybeCompact() bool {
 }
 
 // Compact rewrites every live segment's path into a fresh, densely packed
-// arena (in segment-ID order) and drops the old one, reclaiming the garbage
-// ReplaceTail and Remove leave behind. It changes no logical state: no
+// arena (in segment-ID order, with arenaCap's headroom behind it) and drops
+// the old one, reclaiming the garbage ReplaceTail and Remove leave behind. It changes no logical state: no
 // visit moves, no counter changes, Epoch()/StripeEpoch stamps stay put, and
 // nothing is written to the mutation log — a compaction commutes with
 // replaying the log, so WAL sequence numbers and checkpoint epochs are
@@ -1033,7 +1033,7 @@ func (s *Store) Compact() (live, reclaimed int64) {
 	if old == s.liveNodes {
 		return s.liveNodes, 0
 	}
-	fresh := make([]graph.NodeID, 0, s.liveNodes)
+	fresh := make([]graph.NodeID, 0, arenaCap(s.liveNodes))
 	for i := range s.segs {
 		r := &s.segs[i]
 		if !r.live {
@@ -1046,6 +1046,13 @@ func (s *Store) Compact() (live, reclaimed int64) {
 	s.arena = fresh
 	return s.liveNodes, old - int64(len(fresh))
 }
+
+// arenaCap returns the capacity a freshly built arena gets for live nodes:
+// a quarter of headroom, what one append growth step would leave. Load and
+// Compact both size their arena with it. Without the headroom the first
+// ReplaceTail after either copies the whole arena under the segment lock,
+// a stall of tens of milliseconds at bootstrap scale.
+func arenaCap(live int64) int64 { return live + live/4 }
 
 // ReplaceTail truncates the segment to its first keep nodes (keep >= 1) and
 // appends newTail, updating the visit index. It returns the number of
